@@ -68,11 +68,8 @@ pub(crate) fn data_parallel_batch<E: InferenceEngine + ?Sized>(
         entry_nodes.push(idx);
     }
 
-    // Contiguous chunks, one context per chunk. Oversplit (4× threads) so
-    // a slow chunk cannot straggle the whole batch; chunk boundaries do
-    // not affect results, only cache locality.
-    let threads = rayon::current_num_threads().max(1);
-    let chunk_len = distinct.len().div_ceil(threads * 4).max(1);
+    // Contiguous chunks, one context per chunk.
+    let chunk_len = chunk_len(distinct.len());
     let chunks: Vec<(usize, Vec<&PartialTuple>)> = distinct
         .chunks(chunk_len)
         .enumerate()
@@ -110,6 +107,15 @@ pub(crate) fn data_parallel_batch<E: InferenceEngine + ?Sized>(
         .collect();
     cost.elapsed = sw.elapsed();
     WorkloadResult { estimates, cost }
+}
+
+/// Length of the contiguous chunks a batch of `items` fans out in, one
+/// [`InferContext`] per chunk. Oversplit (4× threads) so a slow chunk
+/// cannot straggle the whole batch; chunk boundaries do not affect
+/// results, only cache locality.
+pub(crate) fn chunk_len(items: usize) -> usize {
+    let threads = rayon::current_num_threads().max(1);
+    items.div_ceil(threads * 4).max(1)
 }
 
 #[cfg(test)]

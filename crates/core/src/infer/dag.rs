@@ -11,13 +11,21 @@
 //!
 //! Sample sharing only ever crosses cover edges, so the *connected
 //! components* of the DAG are independent sampling problems. The workload
-//! runner exploits that: components fan out over the shared rayon executor
-//! while the round-robin schedule inside each component stays sequential.
-//! Chain seeds derive from global node indices, making results
-//! bit-identical for any thread count. The engine wrapper is
-//! [`crate::infer::engine::TupleDagWorkload`].
+//! runner fans them out over the shared rayon executor in contiguous
+//! chunks with one [`InferContext`] per chunk, the way the data-parallel
+//! batch layer chunks tuples, so all of a chunk's components share one
+//! warm voted-CPD cache. Within a component the round-robin schedule stays
+//! sequential. Its node states and chains live in vectors indexed by
+//! position within the component, so a draw allocates nothing; only nodes
+//! with children keep their recorded points, in one flat buffer per node
+//! that is reused once shared. Chain seeds derive from global node indices
+//! and the CPD cache only memoizes, making results bit-identical for any
+//! thread count and any chunking. The engine wrapper is
+//! [`crate::infer::engine::TupleDagWorkload`]; its single-tuple `estimate`
+//! samples the singleton component on the caller's context.
 
 use crate::config::{GibbsConfig, VotingConfig};
+use crate::infer::batch::chunk_len;
 use crate::infer::engine::{GibbsSampler, InferContext, InferenceEngine, TupleDagWorkload};
 use crate::infer::gibbs::{GibbsChain, JointEstimate};
 use crate::model::MrslModel;
@@ -200,38 +208,56 @@ impl TupleDag {
     }
 }
 
-/// Per-node sampling state.
+/// Per-node sampling state, indexed by position within the component.
 struct NodeState {
     indexer: JointIndexer,
     counts: Vec<u32>,
-    /// Recorded full-arity points (kept for sharing with children).
-    points: Vec<Box<[u16]>>,
+    /// Samples recorded so far, own and shared.
+    samples: usize,
+    /// Recorded full-arity points, back to back. Only nodes with children
+    /// keep them (sharing is their one reader); the buffer is taken, and
+    /// later reused, once the node's completion has been shared.
+    points: Option<Vec<u16>>,
     completed: bool,
     pending_parents: usize,
 }
 
 impl NodeState {
-    fn samples(&self) -> usize {
-        self.points.len()
+    #[inline]
+    fn record(&mut self, point: &[u16]) {
+        self.counts[self.indexer.index_of_state(point)] += 1;
+        self.samples += 1;
+        if let Some(points) = &mut self.points {
+            points.extend_from_slice(point);
+        }
     }
 
-    fn record(&mut self, point: &[u16]) {
-        let combo: Vec<mrsl_relation::ValueId> = self
-            .indexer
-            .attrs()
-            .iter()
-            .map(|a| mrsl_relation::ValueId(point[a.index()]))
-            .collect();
-        self.counts[self.indexer.index_of(&combo)] += 1;
-        self.points.push(point.into());
+    fn into_estimate(self) -> JointEstimate {
+        let n = self.samples;
+        let probs = if self.indexer.size() == 1 {
+            vec![1.0]
+        } else if n == 0 {
+            // Only `samples: 0` gets here (a subsumee completes with none
+            // shared): fall back to uniform, like `GibbsSampler`.
+            vec![1.0 / self.counts.len() as f64; self.counts.len()]
+        } else {
+            self.counts.iter().map(|&c| c as f64 / n as f64).collect()
+        };
+        JointEstimate {
+            indexer: self.indexer,
+            probs,
+            sample_count: n,
+        }
     }
 }
 
 /// Runs Algorithm 3 over a workload: builds the tuple DAG once, then
-/// samples its connected components in parallel on the shared executor.
+/// samples its connected components in contiguous chunks on the shared
+/// executor, one [`InferContext`] (and so one voted-CPD cache) per chunk.
 ///
 /// Deterministic for a given `seed` regardless of thread count: chain
-/// seeds derive from global node indices and components are independent.
+/// seeds derive from global node indices, components are independent and
+/// the CPD cache only memoizes.
 pub(crate) fn run_workload_dag(
     model: &MrslModel,
     voting: VotingConfig,
@@ -244,15 +270,24 @@ pub(crate) fn run_workload_dag(
     let dag = TupleDag::build(workload);
     let components = dag.components();
 
-    let per_component: Vec<(Vec<(usize, JointEstimate)>, SamplingCost)> = components
+    let chunks: Vec<&[Vec<usize>]> = components.chunks(chunk_len(components.len())).collect();
+    let per_chunk: Vec<(Vec<(usize, JointEstimate)>, SamplingCost)> = chunks
         .into_par_iter()
-        .map(|nodes| sample_component(model, voting, burn_in, samples, &dag, &nodes, seed))
+        .map(|chunk| {
+            let mut ctx = InferContext::new(model, voting, seed);
+            let mut sampler = ComponentSampler::new(&dag, burn_in, samples, seed);
+            let mut estimates = Vec::new();
+            for nodes in chunk {
+                sampler.sample(&mut ctx, nodes, &mut estimates);
+            }
+            (estimates, sampler.cost)
+        })
         .collect();
 
     let mut node_estimates: Vec<Option<JointEstimate>> = vec![None; dag.len()];
     let mut cost = SamplingCost::default();
-    for (estimates, component_cost) in per_component {
-        cost.absorb(&component_cost);
+    for (estimates, chunk_cost) in per_chunk {
+        cost.absorb(&chunk_cost);
         for (node, est) in estimates {
             node_estimates[node] = Some(est);
         }
@@ -270,190 +305,203 @@ pub(crate) fn run_workload_dag(
     WorkloadResult { estimates, cost }
 }
 
-/// The round-robin root schedule of Algorithm 3, restricted to one
-/// connected component (`nodes`, ascending). Returns the estimates of the
-/// component's nodes and the component's sampling cost.
-fn sample_component(
-    model: &MrslModel,
-    voting: VotingConfig,
+/// Samples `t` as a singleton workload on the caller's context: one chain
+/// seeded `derive_seed(ctx.seed(), [0])`, exactly as [`run_workload_dag`]
+/// seeds a one-tuple workload, but with the caller's warm CPD cache.
+pub(crate) fn sample_singleton(
+    ctx: &mut InferContext<'_>,
     burn_in: usize,
     samples: usize,
-    dag: &TupleDag,
-    nodes: &[usize],
+    t: &PartialTuple,
+) -> JointEstimate {
+    let dag = TupleDag::build(std::slice::from_ref(t));
+    let mut sampler = ComponentSampler::new(&dag, burn_in, samples, ctx.seed());
+    let mut estimates = Vec::with_capacity(1);
+    sampler.sample(ctx, &[0], &mut estimates);
+    estimates
+        .pop()
+        .expect("a singleton component yields one estimate")
+        .1
+}
+
+/// The round-robin root schedule of Algorithm 3, one connected component
+/// at a time. The buffers persist across the components a worker samples
+/// in turn, so a draw allocates nothing.
+struct ComponentSampler<'d> {
+    dag: &'d TupleDag,
+    burn_in: usize,
+    samples: usize,
     seed: u64,
-) -> (Vec<(usize, JointEstimate)>, SamplingCost) {
-    let mut ctx = InferContext::new(model, voting, seed);
-    let mut cost = SamplingCost::default();
-    let mut states: FxHashMap<usize, NodeState> = nodes
-        .iter()
-        .map(|&i| {
+    cost: SamplingCost,
+    /// The current component's node states and chains, by position.
+    states: Vec<NodeState>,
+    chains: Vec<Option<GibbsChain>>,
+    active: VecDeque<usize>,
+    done: Vec<usize>,
+    /// Emptied point buffers, handed to later nodes with children.
+    spare_points: Vec<Vec<u16>>,
+    /// One shared edge's filter: the `(attribute, value)` pairs the child
+    /// assigns and the parent leaves missing.
+    checks: Vec<(usize, u16)>,
+}
+
+impl<'d> ComponentSampler<'d> {
+    fn new(dag: &'d TupleDag, burn_in: usize, samples: usize, seed: u64) -> Self {
+        Self {
+            dag,
+            burn_in,
+            samples,
+            seed,
+            cost: SamplingCost::default(),
+            states: Vec::new(),
+            chains: Vec::new(),
+            active: VecDeque::new(),
+            done: Vec::new(),
+            spare_points: Vec::new(),
+            checks: Vec::new(),
+        }
+    }
+
+    /// Samples one connected component (`nodes`, ascending) on `ctx`,
+    /// appending `(node, estimate)` for each of its nodes to `out` and its
+    /// cost to `self.cost`.
+    fn sample(
+        &mut self,
+        ctx: &mut InferContext<'_>,
+        nodes: &[usize],
+        out: &mut Vec<(usize, JointEstimate)>,
+    ) {
+        let dag = self.dag;
+        for &i in nodes {
             let tuple = &dag.nodes()[i];
-            let indexer = JointIndexer::new(model.schema(), tuple.missing_mask());
-            let state = NodeState {
+            let indexer = JointIndexer::new(ctx.model().schema(), tuple.missing_mask());
+            let points =
+                (!dag.children(i).is_empty()).then(|| self.spare_points.pop().unwrap_or_default());
+            self.states.push(NodeState {
                 counts: vec![0u32; indexer.size()],
                 indexer,
-                points: Vec::new(),
+                samples: 0,
+                points,
                 completed: tuple.is_complete(),
                 pending_parents: dag.parents(i).len(),
-            };
-            (i, state)
-        })
-        .collect();
-
-    // Roots first (ascending, matching the global schedule's visit order);
-    // trivially-completed nodes propagate before any sampling happens.
-    let mut active: VecDeque<usize> = nodes
-        .iter()
-        .copied()
-        .filter(|&i| dag.parents(i).is_empty() && !states[&i].completed)
-        .collect();
-    let mut chains: FxHashMap<usize, GibbsChain> = FxHashMap::default();
-    let mut done_queue: Vec<usize> = nodes
-        .iter()
-        .copied()
-        .filter(|&i| states[&i].completed)
-        .collect();
-    propagate_completions(
-        dag,
-        &mut states,
-        samples,
-        &mut cost,
-        &mut active,
-        &mut done_queue,
-    );
-
-    while let Some(r) = active.pop_front() {
-        if states[&r].completed {
-            continue;
+            });
+            self.chains.push(None);
         }
-        let chain = chains.entry(r).or_insert_with(|| {
-            cost.chains += 1;
-            let mut chain = GibbsChain::new(model, &dag.nodes()[r], derive_seed(seed, &[r as u64]));
-            // Lines 6–8: burn-in on first visit, samples discarded.
-            for _ in 0..burn_in {
-                chain.sweep(&mut ctx);
-            }
-            cost.burn_in_draws += burn_in;
-            cost.total_draws += burn_in;
-            chain
-        });
-        // Line 9: one recorded sample per visit.
-        let point = chain.sweep(&mut ctx).to_vec().into_boxed_slice();
-        cost.total_draws += 1;
-        let state = states.get_mut(&r).expect("active node is in the component");
-        state.record(&point);
-        if state.samples() >= samples {
-            // Lines 10–21: completion and sample sharing.
-            state.completed = true;
-            chains.remove(&r);
-            done_queue.push(r);
-            propagate_completions(
-                dag,
-                &mut states,
-                samples,
-                &mut cost,
-                &mut active,
-                &mut done_queue,
-            );
-        } else {
-            active.push_back(r);
-        }
-    }
 
-    let estimates = nodes
-        .iter()
-        .map(|&i| (i, make_estimate(&states[&i])))
-        .collect();
-    (estimates, cost)
-}
+        // Roots first (ascending, matching the global schedule's visit
+        // order); trivially-completed nodes propagate before any sampling.
+        let states = &self.states;
+        self.active.extend(
+            (0..nodes.len()).filter(|&p| dag.parents(nodes[p]).is_empty() && !states[p].completed),
+        );
+        self.done
+            .extend((0..nodes.len()).filter(|&p| states[p].completed));
+        self.propagate(nodes);
 
-/// `ShareSamples` + root promotion: drains the completion worklist,
-/// sharing each completed node's points with its children.
-fn propagate_completions(
-    dag: &TupleDag,
-    states: &mut FxHashMap<usize, NodeState>,
-    samples: usize,
-    cost: &mut SamplingCost,
-    active: &mut VecDeque<usize>,
-    done_queue: &mut Vec<usize>,
-) {
-    while let Some(r) = done_queue.pop() {
-        for &s in dag.children(r) {
-            if states[&s].completed {
+        while let Some(p) = self.active.pop_front() {
+            if self.states[p].completed {
                 continue;
             }
-            // Share matching samples (only as many as still needed).
-            let child_tuple = &dag.nodes()[s];
-            let needed = samples.saturating_sub(states[&s].samples());
-            if needed > 0 {
-                let parent_points: Vec<Box<[u16]>> = states[&r]
-                    .points
-                    .iter()
-                    .filter(|p| point_matches(p, child_tuple))
-                    .take(needed)
-                    .cloned()
-                    .collect();
-                let child = states.get_mut(&s).expect("child is in the component");
-                for p in parent_points {
-                    child.record(&p);
-                    cost.shared_samples += 1;
+            if self.chains[p].is_none() {
+                self.chains[p] = Some(self.start_chain(ctx, nodes[p]));
+            }
+            let chain = self.chains[p].as_mut().expect("started above");
+            // Line 9: one recorded sample per visit.
+            let state = &mut self.states[p];
+            state.record(chain.sweep(ctx));
+            self.cost.total_draws += 1;
+            if state.samples >= self.samples {
+                // Lines 10–21: completion and sample sharing.
+                state.completed = true;
+                self.chains[p] = None;
+                self.done.push(p);
+                self.propagate(nodes);
+            } else {
+                self.active.push_back(p);
+            }
+        }
+
+        out.extend(
+            nodes
+                .iter()
+                .copied()
+                .zip(self.states.drain(..).map(NodeState::into_estimate)),
+        );
+        self.chains.clear();
+    }
+
+    /// Lines 6–8: a root's chain starts on its first visit and burns in,
+    /// samples discarded.
+    fn start_chain(&mut self, ctx: &mut InferContext<'_>, node: usize) -> GibbsChain {
+        let mut chain = GibbsChain::new(
+            ctx.model(),
+            &self.dag.nodes()[node],
+            derive_seed(self.seed, &[node as u64]),
+        );
+        for _ in 0..self.burn_in {
+            chain.sweep(ctx);
+        }
+        self.cost.chains += 1;
+        self.cost.burn_in_draws += self.burn_in;
+        self.cost.total_draws += self.burn_in;
+        chain
+    }
+
+    /// `ShareSamples` + root promotion: drains the completion worklist,
+    /// sharing each completed node's points with its children.
+    fn propagate(&mut self, nodes: &[usize]) {
+        let dag = self.dag;
+        while let Some(r) = self.done.pop() {
+            let parent = &dag.nodes()[nodes[r]];
+            let points = self.states[r].points.take().unwrap_or_default();
+            for &child in dag.children(nodes[r]) {
+                let s = nodes
+                    .binary_search(&child)
+                    .expect("a child shares its parent's component");
+                let state = &mut self.states[s];
+                if state.completed {
+                    continue;
+                }
+                // Share matching samples (only as many as still needed).
+                // Every point agrees with the parent's assignments, so only
+                // the child's extra ones need checking.
+                let needed = self.samples.saturating_sub(state.samples);
+                if needed > 0 {
+                    let tuple = &dag.nodes()[child];
+                    self.checks.clear();
+                    self.checks.extend(
+                        tuple
+                            .assignments()
+                            .filter(|asg| parent.get(asg.attr).is_none())
+                            .map(|asg| (asg.attr.index(), asg.value.0)),
+                    );
+                    let checks = &self.checks;
+                    let before = state.samples;
+                    for point in points
+                        .chunks_exact(tuple.arity())
+                        .filter(|p| checks.iter().all(|&(a, v)| p[a] == v))
+                        .take(needed)
+                    {
+                        state.record(point);
+                    }
+                    self.cost.shared_samples += state.samples - before;
+                }
+                state.pending_parents = state.pending_parents.saturating_sub(1);
+                if state.samples >= self.samples {
+                    state.completed = true;
+                    self.done.push(s);
+                } else if state.pending_parents == 0 {
+                    // Promotion to root: tops up with its own chain.
+                    self.active.push_back(s);
                 }
             }
-            let child = states.get_mut(&s).expect("child is in the component");
-            child.pending_parents = child.pending_parents.saturating_sub(1);
-            if child.samples() >= samples {
-                child.completed = true;
-                done_queue.push(s);
-            } else if child.pending_parents == 0 {
-                // Promotion to root: tops up with its own chain.
-                active.push_back(s);
+            if points.capacity() > 0 {
+                let mut points = points;
+                points.clear();
+                self.spare_points.push(points);
             }
         }
     }
-}
-
-/// Does the full point agree with the tuple's assignments?
-#[inline]
-fn point_matches(point: &[u16], t: &PartialTuple) -> bool {
-    t.assignments()
-        .all(|asg| point[asg.attr.index()] == asg.value.0)
-}
-
-fn make_estimate(state: &NodeState) -> JointEstimate {
-    let n: u32 = state.counts.iter().sum();
-    let probs = if state.indexer.size() == 1 {
-        vec![1.0]
-    } else if n == 0 {
-        // Unreachable through the public API; keep a sane fallback.
-        vec![1.0 / state.counts.len() as f64; state.counts.len()]
-    } else {
-        state.counts.iter().map(|&c| c as f64 / n as f64).collect()
-    };
-    JointEstimate {
-        indexer: state.indexer.clone(),
-        probs,
-        sample_count: n as usize,
-    }
-}
-
-/// Samples a workload of incomplete tuples (§V, Algorithm 3 when
-/// `strategy == TupleDag`).
-///
-/// Returns one [`JointEstimate`] per workload entry; duplicate tuples share
-/// their estimate. Deterministic per `seed`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `infer_batch` with a `GibbsSampler` or `TupleDagWorkload` engine"
-)]
-pub fn sample_workload(
-    model: &MrslModel,
-    workload: &[PartialTuple],
-    config: &GibbsConfig,
-    strategy: WorkloadStrategy,
-    seed: u64,
-) -> WorkloadResult {
-    let engine = workload_engine(strategy, config);
-    engine.estimate_batch(model, config.voting, workload, seed)
 }
 
 /// The engine implementing a [`WorkloadStrategy`] with a
@@ -600,6 +648,59 @@ mod tests {
     }
 
     #[test]
+    fn draw_accounting_audit() {
+        // Audits the Fig. 11 counters that any efficiency claim rests on.
+        // The workload adds an all-missing root above Fig. 3's tuples (so
+        // its subsumees are promoted and top up with their own chains), a
+        // duplicate, and a complete tuple (which costs nothing).
+        let m = model();
+        let mut workload = fig3_workload();
+        workload.push(PartialTuple::all_missing(4));
+        workload.push(workload[0].clone());
+        workload.push(PartialTuple::from_options(&[
+            Some(0),
+            Some(0),
+            Some(0),
+            Some(0),
+        ]));
+        let (burn, n) = (25, 150);
+        let dag = TupleDag::build(&workload);
+        let incomplete = dag.nodes().iter().filter(|t| !t.is_complete()).count();
+        let incomplete_roots = dag
+            .roots()
+            .iter()
+            .filter(|&&r| !dag.nodes()[r].is_complete())
+            .count();
+
+        // Tuple-DAG: every node ends with exactly N samples, own plus
+        // shared (complete ones with none)…
+        let res = run(&m, &workload, burn, n, WorkloadStrategy::TupleDag, 4);
+        for (entry, est) in res.estimates.iter().enumerate() {
+            let expected = if workload[entry].is_complete() { 0 } else { n };
+            assert_eq!(est.sample_count, expected, "entry {entry}");
+        }
+        // …and draws are the chains' burn-in plus the samples recorded
+        // from their own chains; shared samples cost no draw.
+        let cost = res.cost;
+        let own = incomplete * n - cost.shared_samples;
+        assert_eq!(cost.burn_in_draws, cost.chains * burn);
+        assert_eq!(cost.total_draws, cost.chains * burn + own);
+        assert!(cost.shared_samples > 0);
+        assert!(
+            cost.chains > incomplete_roots,
+            "some subsumee must be promoted to a root"
+        );
+
+        // Tuple-at-a-time: one chain of B + N sweeps per distinct
+        // incomplete tuple, nothing shared.
+        let base = run(&m, &workload, burn, n, WorkloadStrategy::TupleAtATime, 4);
+        assert_eq!(base.cost.total_draws, incomplete * (burn + n));
+        assert_eq!(base.cost.burn_in_draws, incomplete * burn);
+        assert_eq!(base.cost.chains, incomplete);
+        assert_eq!(base.cost.shared_samples, 0);
+    }
+
+    #[test]
     fn shared_samples_respect_subsumee_assignments() {
         // After sampling, estimates for t1 ⟨20,HS,?,?⟩ must only weigh
         // combinations over {inc, nw} — its indexer has 4 cells.
@@ -652,33 +753,6 @@ mod tests {
             for (pa, pb) in ea.probs.iter().zip(&eb.probs) {
                 assert!((pa - pb).abs() < 0.06, "{pa} vs {pb}");
             }
-        }
-    }
-
-    /// NOT a historic-parity check — `sample_workload` delegates to the
-    /// engines, so this guards only the strategy dispatch and argument
-    /// wiring. Behavioral preservation is covered by the exact cost
-    /// assertions above and the batch-vs-per-tuple reference in
-    /// `infer::batch`'s tests.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_dispatches_strategy_and_wires_arguments() {
-        let m = model();
-        let workload = fig3_workload();
-        let config = GibbsConfig {
-            burn_in: 30,
-            samples: 120,
-            voting: VotingConfig::best_averaged(),
-        };
-        for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-            let legacy = sample_workload(&m, &workload, &config, strategy, 17);
-            let engine = workload_engine(strategy, &config);
-            let modern = infer_batch(&m, &workload, engine.as_ref(), config.voting, 17);
-            for (a, b) in legacy.estimates.iter().zip(&modern.estimates) {
-                assert_eq!(a.probs, b.probs, "{strategy:?}");
-            }
-            assert_eq!(legacy.cost.total_draws, modern.cost.total_draws);
-            assert_eq!(legacy.cost.shared_samples, modern.cost.shared_samples);
         }
     }
 }

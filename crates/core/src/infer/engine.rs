@@ -18,16 +18,17 @@
 //! [`VotingConfig`], reusable match scratch, the voted-CPD cache, and the
 //! seed used for sampling engines. Contexts make scratch/cache reuse the
 //! engine layer's problem instead of each caller's, and they are the unit
-//! of thread ownership in [`crate::infer::batch::infer_batch`]: one
-//! context per worker, never shared.
+//! of thread ownership in [`crate::infer::batch::infer_batch`] and the
+//! tuple-DAG runner: one context per worker chunk, never shared between
+//! threads.
 
 use crate::config::{GibbsConfig, VotingConfig};
 use crate::infer::batch;
-use crate::infer::dag::{run_workload_dag, SamplingCost, WorkloadResult};
+use crate::infer::dag::{run_workload_dag, sample_singleton, SamplingCost, WorkloadResult};
 use crate::infer::gibbs::{GibbsChain, JointEstimate};
 use crate::infer::single::vote;
 use crate::model::MrslModel;
-use mrsl_relation::{AttrId, AttrMask, JointIndexer, PartialTuple, ValueId};
+use mrsl_relation::{AttrId, AttrMask, JointIndexer, PartialTuple};
 use mrsl_util::{derive_seed, FxHashMap};
 use std::rc::Rc;
 
@@ -94,8 +95,7 @@ impl<'m> InferContext<'m> {
         self.seed
     }
 
-    /// Sets the seed for the next estimate directly (the legacy shims use
-    /// this to reproduce historic streams exactly).
+    /// Sets the seed for the next estimate directly.
     pub fn set_seed(&mut self, seed: u64) {
         self.seed = seed;
     }
@@ -274,14 +274,8 @@ impl InferenceEngine for GibbsSampler {
             chain.sweep(ctx);
         }
         let mut counts = vec![0u32; indexer.size()];
-        let mut combo = vec![ValueId(0); chain.missing().len()];
         for _ in 0..self.samples {
-            chain.sweep(ctx);
-            let state = chain.state();
-            for (slot, &a) in combo.iter_mut().zip(chain.missing()) {
-                *slot = ValueId(state[a.index()]);
-            }
-            counts[indexer.index_of(&combo)] += 1;
+            counts[indexer.index_of_state(chain.sweep(ctx))] += 1;
         }
         let probs = if self.samples == 0 {
             // Degenerate configuration: no recorded sweeps. Fall back to
@@ -357,6 +351,12 @@ impl InferenceEngine for IndependentBaseline {
 
 /// §V-B / Algorithm 3: workload sampling over the tuple DAG, sharing
 /// samples from subsumers to subsumees.
+///
+/// `estimate_batch` builds the DAG and fans its connected components out
+/// in chunks, one [`InferContext`] per chunk, so a worker's components
+/// share one warm voted-CPD cache. `estimate` samples the singleton
+/// workload on the caller's context, so repeated single-tuple calls reuse
+/// its cache too.
 #[derive(Debug, Clone, Copy)]
 pub struct TupleDagWorkload {
     /// Sweeps discarded before recording (`B`).
@@ -380,27 +380,19 @@ impl InferenceEngine for TupleDagWorkload {
         "tuple-dag"
     }
 
-    /// A single tuple is a singleton workload: one chain, no sharing.
+    /// A single tuple is a singleton workload: one chain, no sharing,
+    /// sampled on `ctx` with chain seed `derive_seed(ctx.seed(), [0])`,
+    /// bit-identical to `estimate_batch` on the one-tuple workload.
     fn estimate(&self, ctx: &mut InferContext<'_>, t: &PartialTuple) -> JointEstimate {
-        let mut result = run_workload_dag(
-            ctx.model(),
-            ctx.voting(),
-            self.burn_in,
-            self.samples,
-            std::slice::from_ref(t),
-            ctx.seed(),
-        );
-        result
-            .estimates
-            .pop()
-            .expect("singleton workload yields one estimate")
+        sample_singleton(ctx, self.burn_in, self.samples, t)
     }
 
     /// Algorithm 3 proper. Independent DAG components run in parallel on
-    /// the shared executor; within a component the paper's round-robin
-    /// root schedule runs sequentially (sharing is inherently ordered).
-    /// Chain seeds derive from global node indices, so results are
-    /// bit-identical regardless of thread count.
+    /// the shared executor, in chunks that each own one context; within a
+    /// component the paper's round-robin root schedule runs sequentially
+    /// (sharing is inherently ordered). Chain seeds derive from global
+    /// node indices, so results are bit-identical regardless of thread
+    /// count.
     fn estimate_batch(
         &self,
         model: &MrslModel,
@@ -577,6 +569,38 @@ mod tests {
             hits_after > hits_before,
             "second tuple reuses the first tuple's CPD cache"
         );
+    }
+
+    #[test]
+    fn tuple_dag_estimate_samples_on_the_callers_context() {
+        let m = model();
+        let engine = TupleDagWorkload {
+            burn_in: 20,
+            samples: 100,
+        };
+        let t = PartialTuple::from_options(&[Some(0), None, None, None]);
+        let mut ctx = InferContext::new(&m, VotingConfig::best_averaged(), 5);
+        let first = engine.estimate(&mut ctx, &t);
+        let (hits, misses) = ctx.cache_stats();
+        assert!(
+            misses > 0,
+            "the first call votes through the caller's cache"
+        );
+        let second = engine.estimate(&mut ctx, &t);
+        let (hits_after, misses_after) = ctx.cache_stats();
+        assert!(hits_after > hits, "the second call hits the warm cache");
+        assert_eq!(misses_after, misses, "the same chain needs no new votes");
+        // The warm cache only memoizes: both calls equal the one-tuple
+        // batch path.
+        let batch = engine.estimate_batch(
+            &m,
+            VotingConfig::best_averaged(),
+            std::slice::from_ref(&t),
+            5,
+        );
+        assert_eq!(first.probs, batch.estimates[0].probs);
+        assert_eq!(second.probs, batch.estimates[0].probs);
+        assert_eq!(first.sample_count, batch.estimates[0].sample_count);
     }
 
     #[test]

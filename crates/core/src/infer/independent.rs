@@ -6,35 +6,17 @@
 //! warranted." The product estimator lives in
 //! [`crate::infer::engine::IndependentBaseline`] so the ablation
 //! experiments can quantify the gap against Gibbs sampling; this module
-//! keeps the legacy free-function shim and the baseline's unit tests.
-
-use crate::config::VotingConfig;
-use crate::infer::engine::{IndependentBaseline, InferContext, InferenceEngine};
-use crate::infer::gibbs::JointEstimate;
-use crate::model::MrslModel;
-use mrsl_relation::PartialTuple;
-
-/// Estimates the joint over the missing attributes of `t` as the product of
-/// per-attribute voted CPDs (each conditioned only on the observed
-/// portion). Exact given the ensemble — no sampling involved.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `IndependentBaseline` engine through an `InferContext` (or `infer_batch`)"
-)]
-pub fn infer_joint_independent(
-    model: &MrslModel,
-    t: &PartialTuple,
-    voting: &VotingConfig,
-) -> JointEstimate {
-    IndependentBaseline.estimate(&mut InferContext::new(model, *voting, 0), t)
-}
+//! keeps the baseline's unit tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::LearnConfig;
+    use crate::config::{LearnConfig, VotingConfig};
+    use crate::infer::engine::{IndependentBaseline, InferContext, InferenceEngine};
+    use crate::infer::gibbs::JointEstimate;
+    use crate::model::MrslModel;
     use mrsl_relation::relation::fig1_relation;
     use mrsl_relation::AttrId;
+    use mrsl_relation::PartialTuple;
 
     fn model() -> MrslModel {
         let rel = fig1_relation();
@@ -96,17 +78,5 @@ mod tests {
         let t = PartialTuple::from_options(&[Some(0), Some(0), Some(0), Some(0)]);
         let est = independent(&m, &t);
         assert_eq!(est.probs, vec![1.0]);
-    }
-
-    /// Argument-wiring check only; the estimator itself is verified
-    /// non-vacuously by `product_structure_holds` above.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_wires_voting_through_to_the_engine() {
-        let m = model();
-        let t = PartialTuple::from_options(&[Some(1), None, None, None]);
-        let legacy = infer_joint_independent(&m, &t, &VotingConfig::best_averaged());
-        let modern = independent(&m, &t);
-        assert_eq!(legacy.probs, modern.probs);
     }
 }

@@ -8,36 +8,11 @@
 //! The engine wrapper is [`crate::infer::engine::SingleVoting`]; the
 //! allocation-light entry point for callers that already hold a context is
 //! [`crate::infer::engine::InferContext::vote_single`]. This module keeps
-//! the voting core itself plus the legacy free-function shim.
+//! the voting core itself.
 
 use crate::config::{VotingConfig, VotingScheme};
-use crate::infer::engine::InferContext;
 use crate::lattice::{MatchScratch, MetaRuleId, Mrsl};
-use crate::model::MrslModel;
-use mrsl_relation::{AttrId, AttrMask, PartialTuple};
-
-/// Algorithm 2: estimates the CPD over the values of `attr` for tuple `t`.
-///
-/// The evidence is the complete portion of `t` (any other missing
-/// attributes are simply absent from the evidence). The returned vector is
-/// strictly positive and sums to 1; the root meta-rule guarantees at least
-/// one voter.
-///
-/// # Panics
-/// Panics if `attr` is assigned in `t`.
-#[deprecated(
-    since = "0.1.0",
-    note = "create an `InferContext` and call `vote_single` (or use the `SingleVoting` engine) \
-            so match scratch is reused across calls"
-)]
-pub fn infer_single(
-    model: &MrslModel,
-    t: &PartialTuple,
-    attr: AttrId,
-    voting: &VotingConfig,
-) -> Vec<f64> {
-    InferContext::new(model, *voting, 0).vote_single(t, attr)
-}
+use mrsl_relation::AttrMask;
 
 /// Allocation-light voting core shared by the context and the Gibbs
 /// sampler: matches voters against a raw evidence assignment and writes
@@ -83,8 +58,10 @@ fn combine(mrsl: &Mrsl, voters: &[u32], scheme: VotingScheme, out: &mut Vec<f64>
 mod tests {
     use super::*;
     use crate::config::LearnConfig;
+    use crate::infer::engine::InferContext;
     use crate::model::MrslModel;
     use mrsl_relation::relation::fig1_relation;
+    use mrsl_relation::{AttrId, PartialTuple};
 
     fn model(theta: f64) -> MrslModel {
         let rel = fig1_relation();
@@ -195,21 +172,6 @@ mod tests {
                 .map(|&id| mrsl.rule(id).cpd()[v])
                 .fold(0.0, f64::max);
             assert!(weighted[v] >= lo - 1e-9 && weighted[v] <= hi + 1e-9);
-        }
-    }
-
-    /// Argument-wiring check only (the shim delegates to `vote_single`);
-    /// the voting semantics are verified against ground truth by the
-    /// tests above.
-    #[test]
-    #[allow(deprecated)]
-    fn shim_wires_voting_through_to_the_context() {
-        let m = model(0.01);
-        let t = PartialTuple::from_options(&[None, Some(0), Some(0), Some(1)]);
-        for voting in VotingConfig::table2_order() {
-            let legacy = infer_single(&m, &t, AttrId(0), &voting);
-            let modern = single(&m, &t, AttrId(0), voting);
-            assert_eq!(legacy, modern, "{voting:?}");
         }
     }
 }

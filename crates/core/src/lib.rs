@@ -65,8 +65,3 @@ pub use lazy::{
 };
 pub use meta_rule::MetaRule;
 pub use model::{LearnStats, MrslModel};
-#[allow(deprecated)]
-pub use {
-    infer::dag::sample_workload, infer::gibbs::infer_joint,
-    infer::independent::infer_joint_independent, infer::single::infer_single,
-};

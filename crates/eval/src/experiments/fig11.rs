@@ -1,6 +1,11 @@
 //! Fig. 11: efficiency of multi-variable inference — sample size and
 //! wall-clock time as a function of workload size, tuple-DAG vs the
 //! tuple-at-a-time baseline (500 samples per tuple).
+//!
+//! Cells run on one thread, so the times compare the two samplers rather
+//! than their parallel schedules. Each point's time is the best of three
+//! identical runs (results are deterministic per seed, so only the clock
+//! differs between them).
 
 use crate::experiments::{grid, ExpOptions};
 use crate::missing::inject_missing_varying;
@@ -9,6 +14,9 @@ use crate::runner::run_parallel;
 use mrsl_core::{infer_batch, workload_engine, GibbsConfig, VotingConfig, WorkloadStrategy};
 use mrsl_util::table::fmt_f;
 use mrsl_util::Table;
+
+/// Runs per (point, strategy); the table reports the fastest.
+const TIMING_RUNS: usize = 3;
 
 fn workload_sizes(opts: &ExpOptions) -> Vec<usize> {
     if opts.full {
@@ -52,8 +60,12 @@ pub fn run(opts: &ExpOptions) -> Report {
         "strategy",
         "sample size (draws)",
         "shared",
-        "time (s)",
+        "time (ms)",
+        "DAG ÷ tuple-at-a-time time",
     ]);
+    // (DAG ÷ tuple-at-a-time) time and draw ratios, one per point.
+    let mut time_ratios: Vec<f64> = Vec::new();
+    let mut draw_ratios: Vec<f64> = Vec::new();
 
     for name in networks(opts) {
         let net = mrsl_bayesnet::catalog::by_name(name)
@@ -78,45 +90,76 @@ pub fn run(opts: &ExpOptions) -> Report {
         let rows = run_parallel(cells, 1, |spec| {
             let ctx = spec.build();
             let max_k = ctx.bn.spec().num_attrs() - 1;
-            let mut out = Vec::new();
-            for &w in &workload_sizes(opts) {
-                let workload =
-                    inject_missing_varying(&ctx.test_points[..w], max_k, spec.seed ^ w as u64);
-                for strategy in [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag] {
-                    let engine = workload_engine(strategy, &gibbs);
-                    let result = infer_batch(
-                        &ctx.model,
-                        &workload,
-                        engine.as_ref(),
-                        gibbs.voting,
-                        spec.seed,
-                    );
-                    out.push((w, strategy, result.cost));
-                }
-            }
-            out
+            workload_sizes(opts)
+                .into_iter()
+                .map(|w| {
+                    let workload =
+                        inject_missing_varying(&ctx.test_points[..w], max_k, spec.seed ^ w as u64);
+                    let [base, dag] = [WorkloadStrategy::TupleAtATime, WorkloadStrategy::TupleDag]
+                        .map(|strategy| {
+                            let engine = workload_engine(strategy, &gibbs);
+                            let run = || {
+                                infer_batch(
+                                    &ctx.model,
+                                    &workload,
+                                    engine.as_ref(),
+                                    gibbs.voting,
+                                    spec.seed,
+                                )
+                                .cost
+                            };
+                            let mut cost = run();
+                            for _ in 1..TIMING_RUNS {
+                                cost.elapsed = cost.elapsed.min(run().elapsed);
+                            }
+                            cost
+                        });
+                    (w, base, dag)
+                })
+                .collect::<Vec<_>>()
         });
-        for row in rows.into_iter().flatten() {
-            let (w, strategy, cost) = row;
-            table.push_row([
-                name.to_string(),
-                w.to_string(),
-                match strategy {
-                    WorkloadStrategy::TupleAtATime => "tuple-at-a-time".to_string(),
-                    WorkloadStrategy::TupleDag => "tuple-DAG".to_string(),
-                },
-                cost.total_draws.to_string(),
-                cost.shared_samples.to_string(),
-                fmt_f(cost.elapsed.as_secs_f64(), 3),
-            ]);
+        for (w, base, dag) in rows.into_iter().flatten() {
+            let time_ratio = dag.elapsed.as_secs_f64() / base.elapsed.as_secs_f64();
+            time_ratios.push(time_ratio);
+            draw_ratios.push(dag.total_draws as f64 / base.total_draws as f64);
+            for (strategy, cost, ratio) in [
+                ("tuple-at-a-time", base, "-".to_string()),
+                ("tuple-DAG", dag, fmt_f(time_ratio, 2)),
+            ] {
+                table.push_row([
+                    name.to_string(),
+                    w.to_string(),
+                    strategy.to_string(),
+                    cost.total_draws.to_string(),
+                    cost.shared_samples.to_string(),
+                    fmt_f(cost.elapsed.as_secs_f64() * 1e3, 2),
+                    ratio,
+                ]);
+            }
         }
     }
+    let range = |ratios: &[f64]| {
+        let lo = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = ratios.iter().copied().fold(0.0, f64::max);
+        (lo, hi)
+    };
+    let (time_lo, time_hi) = range(&time_ratios);
+    let (draw_lo, draw_hi) = range(&draw_ratios);
+    let no_slower = time_ratios.iter().filter(|&&r| r <= 1.0).count();
     Report::new(
         "fig11",
         format!("Efficiency of multi-variable inference (N = {samples}/tuple, B = {burn_in})"),
         table,
     )
     .note("paper: sample size and wall-clock grow linearly with workload size; tuple-DAG beats tuple-at-a-time by up to ~an order of magnitude")
+    .note(format!(
+        "measured: tuple-DAG took no more time than tuple-at-a-time at {no_slower} of {} points; DAG ÷ tuple-at-a-time time {}–{}, draws {}–{}",
+        time_ratios.len(),
+        fmt_f(time_lo, 2),
+        fmt_f(time_hi, 2),
+        fmt_f(draw_lo, 2),
+        fmt_f(draw_hi, 2),
+    ))
 }
 
 #[cfg(test)]

@@ -87,6 +87,19 @@ impl JointIndexer {
         idx
     }
 
+    /// Index of the combination a full raw assignment (one value per
+    /// schema attribute, indexed by attribute id) takes on these
+    /// attributes. Allocation-free: samplers call it once per draw.
+    #[inline]
+    pub fn index_of_state(&self, state: &[u16]) -> usize {
+        let mut idx = 0;
+        for (i, &a) in self.attrs.iter().enumerate() {
+            debug_assert!((state[a.index()] as usize) < self.cards[i]);
+            idx += state[a.index()] as usize * self.strides[i];
+        }
+        idx
+    }
+
     /// Index of the combination a partial tuple takes; `None` when the
     /// tuple does not assign all indexed attributes.
     pub fn index_of_partial(&self, t: &PartialTuple) -> Option<usize> {
@@ -160,6 +173,22 @@ mod tests {
         // A tuple missing an indexed attribute yields None.
         let missing = PartialTuple::from_options(&[Some(2), None, Some(0), Some(1)]);
         assert_eq!(ix.index_of_partial(&missing), None);
+    }
+
+    #[test]
+    fn state_index_matches_value_index_on_every_combination() {
+        let s = fig1_schema();
+        let ix = JointIndexer::new(&s, AttrMask::from_attrs([AttrId(0), AttrId(3)]));
+        // Attributes outside the indexer must not move the index.
+        let mut state = [0u16, 2, 1, 0];
+        for idx in 0..ix.size() {
+            for (a, v) in ix.decode(idx) {
+                state[a.index()] = v.0;
+            }
+            assert_eq!(ix.index_of_state(&state), idx);
+            state[1] = (state[1] + 1) % 3;
+            assert_eq!(ix.index_of_state(&state), idx);
+        }
     }
 
     #[test]
