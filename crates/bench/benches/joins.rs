@@ -84,7 +84,7 @@ fn bench_joins(c: &mut Criterion) {
                     catalog,
                     QueryEngineConfig {
                         force_monte_carlo: true,
-                        mc_samples: 500,
+                        mc_samples: MC_SAMPLES,
                         ..QueryEngineConfig::default()
                     },
                 );
@@ -150,7 +150,7 @@ fn bench_dissociation(c: &mut Criterion) {
                 let engine = CatalogEngine::with_config(
                     catalog,
                     QueryEngineConfig {
-                        mc_samples: 500,
+                        mc_samples: MC_SAMPLES,
                         ..QueryEngineConfig::default()
                     },
                 );
@@ -164,6 +164,10 @@ fn bench_dissociation(c: &mut Criterion) {
     }
     group.finish();
 }
+
+/// Joint worlds per Monte Carlo call in the report (and in the criterion
+/// `mc_probability` rows).
+const MC_SAMPLES: usize = 500;
 
 /// Mean wall-clock nanoseconds per call of `f` over `iters` timed
 /// iterations (after one untimed warm-up call).
@@ -205,7 +209,14 @@ fn plan_rows(catalog: &Catalog, query: &Query, stat: Statistic, iters: u32) -> P
     }
 }
 
-fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow], cold_ns: f64, warm_ns: f64) {
+fn write_rows(
+    out: &mut String,
+    fixture: &str,
+    rows: &[PlanRow],
+    extra: &[(&str, f64)],
+    cold_ns: f64,
+    warm_ns: f64,
+) {
     let _ = writeln!(out, "  \"{fixture}\": {{");
     for row in rows {
         let _ = writeln!(
@@ -217,6 +228,9 @@ fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow], cold_ns: f64, w
             row.interp_ns / row.vm_ns
         );
     }
+    for (name, ns) in extra {
+        let _ = writeln!(out, "    \"{name}\": {ns:.0},");
+    }
     let _ = writeln!(
         out,
         "    \"plan_ns\": {{\"cold\": {cold_ns:.0}, \"warm\": {warm_ns:.0}}}"
@@ -224,14 +238,49 @@ fn write_rows(out: &mut String, fixture: &str, rows: &[PlanRow], cold_ns: f64, w
     let _ = writeln!(out, "  }},");
 }
 
+/// The checked-out commit, read from `.git` without running git: `HEAD`
+/// is either a detached hash or a ref, resolved through its loose file or
+/// `packed-refs`. `"unknown"` outside a checkout.
+fn git_rev() -> String {
+    let git = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
+    let read = |path: std::path::PathBuf| std::fs::read_to_string(path).ok();
+    let Some(head) = read(git.join("HEAD")) else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Some(hash) = read(git.join(reference)) {
+        return hash.trim().to_string();
+    }
+    read(git.join("packed-refs"))
+        .and_then(|packed| {
+            packed.lines().find_map(|line| {
+                line.strip_suffix(reference)
+                    .filter(|rest| rest.ends_with(' '))
+                    .map(|rest| rest.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Self-timed interpreter-vs-VM report, written to `BENCH_plan.json` at
 /// the repo root. The vendored criterion shim has no programmatic timing
 /// hooks, so this measures with [`Instant`] directly: per-statistic
 /// interpreter vs warm-VM nanoseconds, the cold-vs-warm planning gap
-/// (fresh engine per call vs shared [`PlanCache`] hits), and the cache
-/// hit/miss counters from the warm engine.
+/// (fresh engine per call vs shared [`PlanCache`] hits), a cold expected
+/// count (planning, mass tables and fold from scratch), a Monte Carlo
+/// chain probability (the joint-world sampler and its per-world hash
+/// join), and the cache hit/miss counters from the warm engine. The
+/// report records the host's core count and the git revision it
+/// measured.
 fn emit_plan_report(_c: &mut Criterion) {
-    let mut out = String::from("{\n");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut out = format!(
+        "{{\n  \"host_cores\": {cores},\n  \"git_rev\": \"{}\",\n",
+        git_rev()
+    );
 
     // Join fixture at ≥2k uncertain blocks: hierarchical, exact path.
     let join_catalog = synthetic_join_catalog(256, 10_000, 5_000, 3, 42);
@@ -256,7 +305,18 @@ fn emit_plan_report(_c: &mut Criterion) {
         let engine = CatalogEngine::new(&join_catalog);
         std::hint::black_box(engine.probability(&join).expect("cold"));
     });
-    write_rows(&mut out, "join_2k_blocks", &rows, cold_ns, warm_ns);
+    let cold_count_ns = time_ns(12, || {
+        let engine = CatalogEngine::new(&join_catalog);
+        std::hint::black_box(engine.expected_count(&join).expect("cold"));
+    });
+    write_rows(
+        &mut out,
+        "join_2k_blocks",
+        &rows,
+        &[("cold_expected_count_ns", cold_count_ns)],
+        cold_ns,
+        warm_ns,
+    );
     let stats = warm_engine.plan_cache().stats();
 
     // Dissociable chain: both bounds are compiled programs.
@@ -276,7 +336,33 @@ fn emit_plan_report(_c: &mut Criterion) {
         let engine = CatalogEngine::with_config(&chain_catalog, vm_config());
         std::hint::black_box(engine.probability_bounds(&chain).expect("cold"));
     });
-    write_rows(&mut out, "chain_2500_blocks", &rows, cold_ns, warm_ns);
+    // The point probability of the unsafe chain has no exact plan: every
+    // call samples `mc_samples` joint worlds.
+    let mc_engine = CatalogEngine::with_config(
+        &chain_catalog,
+        QueryEngineConfig {
+            mc_samples: MC_SAMPLES,
+            ..QueryEngineConfig::default()
+        },
+    );
+    let mc_ns = time_ns(5, || {
+        std::hint::black_box(
+            mc_engine
+                .evaluate(&chain, Statistic::Probability)
+                .expect("mc"),
+        );
+    });
+    write_rows(
+        &mut out,
+        "chain_2500_blocks",
+        &rows,
+        &[
+            ("mc_probability_ns", mc_ns),
+            ("mc_samples", MC_SAMPLES as f64),
+        ],
+        cold_ns,
+        warm_ns,
+    );
     let chain_stats = warm_engine.plan_cache().stats();
 
     let _ = writeln!(

@@ -182,6 +182,33 @@ pub fn oracle(
     }
 }
 
+/// `1 − ∏ᵢ(1 − pᵢ)`, the probability that at least one of independent
+/// events with probabilities `pᵢ` happens, evaluated in log space as
+/// `−expm1(Σᵢ ln(1 − pᵢ))` with `ln_1p`/`exp_m1`.
+///
+/// The exact evaluators multiply the complements directly and subtract
+/// the product from 1, which cancels digits when every `pᵢ` is small:
+/// each factor rounds to within half an ulp of 1, and the final
+/// subtraction exposes the accumulated rounding. The log-space form has
+/// no cancellation, so it serves as the accuracy reference for those
+/// leaf products.
+///
+/// ```
+/// use mrsl_probdb::testutil::noisy_or;
+///
+/// assert_eq!(noisy_or([]), 0.0);
+/// assert!((noisy_or([0.5, 0.5]) - 0.75).abs() < 1e-15);
+/// // Two events of 10⁻¹²: the direct form is off in the fifth digit.
+/// let p = noisy_or([1e-12; 2]);
+/// assert!((p / 2e-12 - 1.0).abs() < 1e-11);
+/// let direct: f64 = 1.0 - (1.0 - 1e-12) * (1.0 - 1e-12);
+/// assert!((direct / 2e-12 - 1.0).abs() > 1e-6);
+/// ```
+pub fn noisy_or(probs: impl IntoIterator<Item = f64>) -> f64 {
+    let log_none: f64 = probs.into_iter().map(|p| (-p).ln_1p()).sum();
+    -log_none.exp_m1()
+}
+
 /// Number of row assignments (one row per term) satisfying every join
 /// class, counted by exhaustive backtracking over the terms.
 fn count_assignments(

@@ -552,9 +552,11 @@ fn shutdown_drains_queued_work_then_rejects() {
 // abandonment, and request coalescing.
 // ---------------------------------------------------------------------
 
-/// Samples that hold a worker for a human-visible stretch in a debug
-/// build (roughly a second), so the queue observably backs up.
-const SLOW_SAMPLES: usize = 300_000;
+/// Samples that hold a worker for a human-visible stretch, so the queue
+/// observably backs up: about a third of a second in a release build on a
+/// 2-core host (the deadline tests need well over 200 ms) and several
+/// seconds in a debug build.
+const SLOW_SAMPLES: usize = 1_000_000;
 
 /// Submits one slow request and blocks until a worker has picked it up
 /// (queue empty again), so the test knows the pool is busy.
