@@ -15,25 +15,23 @@
 //! `mc_probability` is the joint-world sampler the same query takes for
 //! the point statistic. The bracket should be exact-path fast while the
 //! sampler pays per-world join costs.
+//!
+//! The `interp_*` rows time the reference interpreter
+//! ([`mrsl_probdb::testutil::interpreted`]) on the same queries. Under
+//! `--test` (CI smoke) every fixture shrinks to seconds of work, each
+//! criterion row runs once, and the report is printed but
+//! `BENCH_plan.json` is not rewritten.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrsl_bench::{synthetic_chain_catalog, synthetic_join_catalog};
+use mrsl_bench::{git_rev, smoke_mode, synthetic_chain_catalog, synthetic_join_catalog};
+use mrsl_probdb::testutil::interpreted;
 use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
 use mrsl_relation::{AttrId, ValueId};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Interpreter reference configuration: compiled plans off.
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
-    }
-}
-
-/// VM configuration: compiled plans on (the default), brackets never
-/// refined so the bounds rows measure the pure deterministic path.
+/// Brackets never refined, so the bounds rows measure the pure
+/// deterministic path.
 fn vm_config() -> QueryEngineConfig {
     QueryEngineConfig {
         bounds_tolerance: 1.0,
@@ -54,7 +52,12 @@ fn join_query() -> Query {
 fn bench_joins(c: &mut Criterion) {
     let mut group = c.benchmark_group("joins");
     group.sample_size(15);
-    for &(stations, certain, blocks) in &[(64usize, 2_000usize, 1_000usize), (256, 10_000, 5_000)] {
+    let sizes: &[(usize, usize, usize)] = if smoke_mode() {
+        &[(16, 400, 200)]
+    } else {
+        &[(64, 2_000, 1_000), (256, 10_000, 5_000)]
+    };
+    for &(stations, certain, blocks) in sizes {
         let catalog = synthetic_join_catalog(stations, certain, blocks, 3, 42);
         let query = join_query();
         let size = certain + blocks;
@@ -72,8 +75,12 @@ fn bench_joins(c: &mut Criterion) {
             BenchmarkId::new("interp_probability", size),
             &catalog,
             |b, catalog| {
-                let engine = CatalogEngine::with_config(catalog, interp_config());
-                b.iter(|| std::hint::black_box(engine.probability(&query).expect("interp")))
+                b.iter(|| {
+                    std::hint::black_box(
+                        interpreted(catalog, &query, Statistic::Probability, &vm_config())
+                            .expect("interp"),
+                    )
+                })
             },
         );
         group.bench_with_input(
@@ -120,7 +127,12 @@ fn chain_query() -> Query {
 fn bench_dissociation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dissociation");
     group.sample_size(15);
-    for &(keys, blocks) in &[(16usize, 500usize), (64, 2_500)] {
+    let sizes: &[(usize, usize)] = if smoke_mode() {
+        &[(8, 100)]
+    } else {
+        &[(16, 500), (64, 2_500)]
+    };
+    for &(keys, blocks) in sizes {
         let catalog = synthetic_chain_catalog(keys, blocks, 42);
         let query = chain_query();
         let size = 4 * blocks; // r + t + 2·blocks in s
@@ -139,8 +151,12 @@ fn bench_dissociation(c: &mut Criterion) {
             BenchmarkId::new("interp_bounds_probability", size),
             &catalog,
             |b, catalog| {
-                let engine = CatalogEngine::with_config(catalog, interp_config());
-                b.iter(|| std::hint::black_box(engine.probability_bounds(&query).expect("bounds")))
+                b.iter(|| {
+                    std::hint::black_box(
+                        interpreted(catalog, &query, Statistic::ProbabilityBounds, &vm_config())
+                            .expect("bounds"),
+                    )
+                })
             },
         );
         group.bench_with_input(
@@ -194,9 +210,8 @@ fn plan_rows(catalog: &Catalog, query: &Query, stat: Statistic, iters: u32) -> P
         Statistic::ProbabilityBounds => "bounds_probability",
         _ => "other",
     };
-    let interp = CatalogEngine::with_config(catalog, interp_config());
     let interp_ns = time_ns(iters, || {
-        std::hint::black_box(interp.evaluate(query, stat).expect("interp"));
+        std::hint::black_box(interpreted(catalog, query, stat, &vm_config()).expect("interp"));
     });
     let vm = CatalogEngine::with_config(catalog, vm_config());
     let vm_ns = time_ns(iters, || {
@@ -238,33 +253,6 @@ fn write_rows(
     let _ = writeln!(out, "  }},");
 }
 
-/// The checked-out commit, read from `.git` without running git: `HEAD`
-/// is either a detached hash or a ref, resolved through its loose file or
-/// `packed-refs`. `"unknown"` outside a checkout.
-fn git_rev() -> String {
-    let git = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
-    let read = |path: std::path::PathBuf| std::fs::read_to_string(path).ok();
-    let Some(head) = read(git.join("HEAD")) else {
-        return "unknown".into();
-    };
-    let head = head.trim();
-    let Some(reference) = head.strip_prefix("ref: ") else {
-        return head.to_string();
-    };
-    if let Some(hash) = read(git.join(reference)) {
-        return hash.trim().to_string();
-    }
-    read(git.join("packed-refs"))
-        .and_then(|packed| {
-            packed.lines().find_map(|line| {
-                line.strip_suffix(reference)
-                    .filter(|rest| rest.ends_with(' '))
-                    .map(|rest| rest.trim().to_string())
-            })
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// Self-timed interpreter-vs-VM report, written to `BENCH_plan.json` at
 /// the repo root. The vendored criterion shim has no programmatic timing
 /// hooks, so this measures with [`Instant`] directly: per-statistic
@@ -274,20 +262,30 @@ fn git_rev() -> String {
 /// chain probability (the joint-world sampler and its per-world hash
 /// join), and the cache hit/miss counters from the warm engine. The
 /// report records the host's core count and the git revision it
-/// measured.
+/// measured. Smoke runs shrink both fixtures and print the report
+/// without writing it.
 fn emit_plan_report(_c: &mut Criterion) {
+    let smoke = smoke_mode();
+    let (stations, certain, blocks) = if smoke {
+        (64, 2_000, 1_000)
+    } else {
+        (256, 10_000, 5_000)
+    };
+    let (chain_keys, chain_blocks) = if smoke { (16, 500) } else { (64, 2_500) };
+    let iters = if smoke { 4 } else { 12 };
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut out = format!(
         "{{\n  \"host_cores\": {cores},\n  \"git_rev\": \"{}\",\n",
         git_rev()
     );
 
-    // Join fixture at ≥2k uncertain blocks: hierarchical, exact path.
-    let join_catalog = synthetic_join_catalog(256, 10_000, 5_000, 3, 42);
+    // Join fixture at ≥2k uncertain blocks (full run): hierarchical,
+    // exact path.
+    let join_catalog = synthetic_join_catalog(stations, certain, blocks, 3, 42);
     let join = join_query();
     let rows = [
-        plan_rows(&join_catalog, &join, Statistic::Probability, 12),
-        plan_rows(&join_catalog, &join, Statistic::ExpectedCount, 12),
+        plan_rows(&join_catalog, &join, Statistic::Probability, iters),
+        plan_rows(&join_catalog, &join, Statistic::ExpectedCount, iters),
     ];
     // The warm VM reuses memoized mass tables; falling behind the
     // interpreter here is a regression, not noise.
@@ -298,20 +296,24 @@ fn emit_plan_report(_c: &mut Criterion) {
         rows[1].interp_ns
     );
     let warm_engine = CatalogEngine::new(&join_catalog);
-    let warm_ns = time_ns(12, || {
+    let warm_ns = time_ns(iters, || {
         std::hint::black_box(warm_engine.probability(&join).expect("warm"));
     });
-    let cold_ns = time_ns(12, || {
+    let cold_ns = time_ns(iters, || {
         let engine = CatalogEngine::new(&join_catalog);
         std::hint::black_box(engine.probability(&join).expect("cold"));
     });
-    let cold_count_ns = time_ns(12, || {
+    let cold_count_ns = time_ns(iters, || {
         let engine = CatalogEngine::new(&join_catalog);
         std::hint::black_box(engine.expected_count(&join).expect("cold"));
     });
     write_rows(
         &mut out,
-        "join_2k_blocks",
+        if smoke {
+            "join_smoke"
+        } else {
+            "join_2k_blocks"
+        },
         &rows,
         &[("cold_expected_count_ns", cold_count_ns)],
         cold_ns,
@@ -320,19 +322,19 @@ fn emit_plan_report(_c: &mut Criterion) {
     let stats = warm_engine.plan_cache().stats();
 
     // Dissociable chain: both bounds are compiled programs.
-    let chain_catalog = synthetic_chain_catalog(64, 2_500, 42);
+    let chain_catalog = synthetic_chain_catalog(chain_keys, chain_blocks, 42);
     let chain = chain_query();
     let rows = [plan_rows(
         &chain_catalog,
         &chain,
         Statistic::ProbabilityBounds,
-        12,
+        iters,
     )];
     let warm_engine = CatalogEngine::with_config(&chain_catalog, vm_config());
-    let warm_ns = time_ns(12, || {
+    let warm_ns = time_ns(iters, || {
         std::hint::black_box(warm_engine.probability_bounds(&chain).expect("warm"));
     });
-    let cold_ns = time_ns(12, || {
+    let cold_ns = time_ns(iters, || {
         let engine = CatalogEngine::with_config(&chain_catalog, vm_config());
         std::hint::black_box(engine.probability_bounds(&chain).expect("cold"));
     });
@@ -354,7 +356,11 @@ fn emit_plan_report(_c: &mut Criterion) {
     });
     write_rows(
         &mut out,
-        "chain_2500_blocks",
+        if smoke {
+            "chain_smoke"
+        } else {
+            "chain_2500_blocks"
+        },
         &rows,
         &[
             ("mc_probability_ns", mc_ns),
@@ -372,6 +378,11 @@ fn emit_plan_report(_c: &mut Criterion) {
         stats.misses + chain_stats.misses
     );
 
+    if smoke {
+        println!("joins bench smoke mode: BENCH_plan.json left untouched");
+        print!("{out}");
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_plan.json");
     if let Err(err) = std::fs::write(path, &out) {
         eprintln!("BENCH_plan.json not written: {err}");

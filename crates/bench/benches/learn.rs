@@ -14,11 +14,14 @@
 //! - **mass fit**: per-epoch wall time of [`fit_block_masses`] on a
 //!   labeled training set.
 //!
+//! The report records `host_cores` and the measured commit (`git_rev`).
 //! Under `--test` (CI smoke) the fixtures shrink to seconds of work and
 //! the JSON is not rewritten.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::{learned_model, synthetic_join_catalog};
+use mrsl_bench::{
+    git_rev, learned_model, percentile, sample_ns, smoke_mode, synthetic_join_catalog,
+};
 use mrsl_core::{GibbsConfig, VotingConfig};
 use mrsl_learn::{
     fit_block_masses, fit_ensemble_weights, standard_members, LabeledQuery, MassFitConfig,
@@ -28,31 +31,6 @@ use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query};
 use mrsl_relation::{AttrId, ValueId};
 use mrsl_util::derive_seed;
 use std::fmt::Write as _;
-use std::time::Instant;
-
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--test" || a == "--list")
-}
-
-/// Sorted per-iteration wall-clock nanoseconds of `f` (after one untimed
-/// warm-up call).
-fn sample_ns<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
-    f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
 
 /// σ[kind ∈ {0,1}](sensors) ⨝ σ[level ≥ 2](readings) — liftable, so the
 /// gradient pass covers the lifted multi-term product too.
@@ -106,6 +84,7 @@ fn emit_learn_report(_c: &mut Criterion) {
     let mut out = String::from("{\n");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"host_cores\": {cores},");
+    let _ = writeln!(out, "  \"git_rev\": \"{}\",", git_rev());
     let _ = writeln!(
         out,
         "  \"fixture\": {{\"train\": {train_n}, \"holdout\": {holdout_n}, \

@@ -21,12 +21,12 @@
 //!   lag and queue depth land next to the latency numbers.
 //!
 //! `host_cores` records the machine's parallelism: client counts above it
-//! time contention honestly rather than projecting speedups. Under
-//! `--test` (CI smoke) the fixtures shrink to seconds of work and the
-//! JSON is not rewritten.
+//! time contention honestly rather than projecting speedups. `git_rev`
+//! names the measured commit. Under `--test` (CI smoke) the fixtures
+//! shrink to seconds of work and the JSON is not rewritten.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::synthetic_join_catalog;
+use mrsl_bench::{git_rev, percentile, smoke_mode, synthetic_join_catalog};
 use mrsl_probdb::serve::{ProbDbServer, ServeConfig};
 use mrsl_probdb::{
     Alternative, Block, Predicate, ProbDbError, Query, QueryEngineConfig, ServerHandle,
@@ -39,10 +39,6 @@ use std::time::{Duration, Instant};
 
 const CLIENTS: [usize; 4] = [1, 2, 4, 8];
 const WORKERS: usize = 4;
-
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--test" || a == "--list")
-}
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
@@ -64,11 +60,6 @@ fn join_query() -> Query {
             Query::scan("readings").filter(Predicate::range(AttrId(1), ValueId(2), ValueId(3))),
             [(AttrId(0), AttrId(0))],
         )
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One client thread: `iters` blocking round-trips through the pool,
@@ -356,6 +347,7 @@ fn emit_serve_report(_c: &mut Criterion) {
     let mut out = String::from("{\n");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"host_cores\": {cores},");
+    let _ = writeln!(out, "  \"git_rev\": \"{}\",", git_rev());
     let _ = writeln!(out, "  \"workers\": {WORKERS},");
     let _ = writeln!(
         out,

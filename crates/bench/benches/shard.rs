@@ -18,34 +18,24 @@
 //!
 //! `host_cores` records the machine's parallelism: thread counts above it
 //! time the scheduling overhead honestly rather than projecting speedups.
-//! Under `--test` (CI smoke) the fixtures shrink to seconds of work and
-//! the JSON is not rewritten.
+//! `git_rev` names the measured commit. Under `--test` (CI smoke) the
+//! fixtures shrink to seconds of work and the JSON is not rewritten.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsl_bench::{synthetic_chain_catalog, synthetic_join_catalog};
+use mrsl_bench::{
+    git_rev, percentile, sample_ns, smoke_mode, synthetic_chain_catalog, synthetic_join_catalog,
+};
+use mrsl_probdb::testutil::interpreted;
 use mrsl_probdb::{Catalog, CatalogEngine, Predicate, Query, QueryEngineConfig, Statistic};
 use mrsl_relation::{AttrId, ValueId};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--test" || a == "--list")
-}
 
 fn vm_config(shards: usize) -> QueryEngineConfig {
     QueryEngineConfig {
         bounds_tolerance: 1.0,
         shards,
-        ..QueryEngineConfig::default()
-    }
-}
-
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
         ..QueryEngineConfig::default()
     }
 }
@@ -68,26 +58,6 @@ fn chain_query() -> Query {
         .filter(ok2.clone())
         .join_on(Query::scan("s").filter(ok3), [(AttrId(0), AttrId(0))])
         .join_on_rel("s", Query::scan("t").filter(ok2), [(AttrId(1), AttrId(0))])
-}
-
-/// Sorted per-iteration wall-clock nanoseconds of `f` (after one untimed
-/// warm-up call).
-fn sample_ns<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
-    f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 struct LatencyRow {
@@ -196,6 +166,7 @@ fn emit_shard_report(_c: &mut Criterion) {
     let mut out = String::from("{\n");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"host_cores\": {cores},");
+    let _ = writeln!(out, "  \"git_rev\": \"{}\",", git_rev());
     let _ = writeln!(
         out,
         "  \"fixture\": {{\"stations\": {stations}, \"certain\": {certain}, \
@@ -224,12 +195,15 @@ fn emit_shard_report(_c: &mut Criterion) {
 
     // Warm expected_count: the memoized mass tables must beat the
     // interpreter's per-call mass join (the join_2k_blocks regression).
-    let interp = CatalogEngine::with_config(&join_catalog, interp_config());
     let interp_ec = sample_ns(warm_iters, || {
         std::hint::black_box(
-            interp
-                .evaluate(&join, Statistic::ExpectedCount)
-                .expect("interp"),
+            interpreted(
+                &join_catalog,
+                &join,
+                Statistic::ExpectedCount,
+                &vm_config(0),
+            )
+            .expect("interp"),
         );
     });
     let vm = CatalogEngine::with_config(&join_catalog, vm_config(0));

@@ -2,7 +2,9 @@
 //!
 //! Each bench regenerates one timing-oriented table/figure of the paper
 //! (see DESIGN.md §3); these helpers build the datasets and models they
-//! share so the benches measure only the operation under test.
+//! share so the benches measure only the operation under test. The
+//! self-timed reporters (`joins`, `shard`, `serve`, `learn`) also share
+//! their timing, percentile and provenance helpers from here.
 
 use mrsl_bayesnet::catalog::by_name;
 use mrsl_bayesnet::BayesianNetwork;
@@ -11,6 +13,66 @@ use mrsl_relation::{AttrId, CompleteTuple, PartialTuple};
 use mrsl_util::{derive_seed, seeded_rng};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::time::Instant;
+
+/// True under `--test` (the CI smoke run) or `--list`: reporters shrink
+/// their fixtures to seconds of work and leave the committed
+/// `BENCH_*.json` untouched.
+pub fn smoke_mode() -> bool {
+    std::env::args().any(|a| a == "--test" || a == "--list")
+}
+
+/// Sorted per-iteration wall-clock nanoseconds of `f` (after one untimed
+/// warm-up call).
+pub fn sample_ns<F: FnMut()>(iters: usize, mut f: F) -> Vec<f64> {
+    f();
+    let mut samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples
+}
+
+/// The `p`-quantile (`0.0..=1.0`) of ascending samples, by the nearest
+/// rank.
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx]
+}
+
+/// The checked-out commit, read from `.git` without running git: `HEAD`
+/// is either a detached hash or a ref, resolved through its loose file or
+/// `packed-refs`. `"unknown"` outside a checkout.
+pub fn git_rev() -> String {
+    let git = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
+    let read = |path: std::path::PathBuf| std::fs::read_to_string(path).ok();
+    let Some(head) = read(git.join("HEAD")) else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Some(hash) = read(git.join(reference)) {
+        return hash.trim().to_string();
+    }
+    read(git.join("packed-refs"))
+        .and_then(|packed| {
+            packed.lines().find_map(|line| {
+                line.strip_suffix(reference)
+                    .filter(|rest| rest.ends_with(' '))
+                    .map(|rest| rest.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
 
 /// Instantiates a catalog network deterministically.
 pub fn network(name: &str, seed: u64) -> BayesianNetwork {

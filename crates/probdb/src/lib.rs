@@ -41,7 +41,9 @@
 //!   writer publish the next generation copy-on-write behind live
 //!   readers.
 //! * [`testutil`] — brute-force joint-world oracles every evaluator is
-//!   tested against (shared by unit, integration and property suites).
+//!   tested against (shared by unit, integration and property suites),
+//!   and the reference interpreter the compiled plans must match bit for
+//!   bit.
 
 pub mod algebra;
 pub mod block;

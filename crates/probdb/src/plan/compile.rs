@@ -313,38 +313,6 @@ pub(crate) fn compile_bounds(
         .collect()
 }
 
-/// Binds registers for every bounds candidate: candidate-major, upper
-/// program first then lower (their sort paths differ, so each program
-/// gets its own register set).
-pub(crate) fn bind_bounds(
-    programs: &[BoundsProgram],
-    compiled: &[CompiledTerm],
-) -> Vec<Vec<vm::TermRegs>> {
-    programs
-        .iter()
-        .flat_map(|bp| {
-            [
-                vm::bind_program(&bp.upper, compiled),
-                vm::bind_program(&bp.lower, compiled),
-            ]
-        })
-        .collect()
-}
-
-/// Executes compiled bounds candidates and intersects the brackets — the
-/// VM counterpart of `dissociate::evaluate_bounds`, sharing its selection
-/// and report-rendering logic so both paths pick identical winners.
-pub(crate) fn run_bounds(
-    resolved: &Resolved,
-    compiled: &[CompiledTerm],
-    candidates: &[Dissociation],
-    programs: &[BoundsProgram],
-    shards: usize,
-) -> DissociatedBounds {
-    let regs = bind_bounds(programs, compiled);
-    run_bounds_prebound(resolved, candidates, programs, &regs, shards, None)
-}
-
 /// Memo of the bounds report rendering, keyed by the winning
 /// `(upper_at, lower_at)` candidate pair. `describe_bounds` re-derives
 /// the winner's dissociated decomposition — pure shape work, identical
@@ -352,8 +320,10 @@ pub(crate) fn run_bounds(
 /// it instead of re-walking the component recursion.
 pub(crate) type DescribeMemo = Mutex<Option<((usize, usize), (SafePlan, Vec<String>))>>;
 
-/// [`run_bounds`] over registers bound earlier (the layout produced by
-/// [`bind_bounds`]).
+/// Executes compiled bounds candidates over their bound registers
+/// ([`BoundRegs::per_program`] layout) and intersects the brackets — the
+/// VM counterpart of `dissociate::evaluate_bounds`, sharing its selection
+/// and report-rendering logic so both paths pick identical winners.
 ///
 /// The candidate brackets are independent of each other, so on a
 /// multi-threaded rayon pool they evaluate concurrently — the shim
@@ -367,7 +337,7 @@ pub(crate) fn run_bounds_prebound(
     programs: &[BoundsProgram],
     regs: &[Vec<vm::TermRegs>],
     shards: usize,
-    describe: Option<&DescribeMemo>,
+    describe: &DescribeMemo,
 ) -> DissociatedBounds {
     let eval_one = |(i, bp): (usize, &BoundsProgram)| {
         (
@@ -389,19 +359,16 @@ pub(crate) fn run_bounds_prebound(
     };
     let choice = intersect_candidates(&evals);
     let key = (choice.upper_at, choice.lower_at);
-    let (plan, dissociated) = match describe {
-        Some(memo) => {
-            let mut slot = memo.lock().expect("describe memo lock");
-            match &*slot {
-                Some((k, v)) if *k == key => v.clone(),
-                _ => {
-                    let v = describe_bounds(resolved, candidates, &choice);
-                    *slot = Some((key, v.clone()));
-                    v
-                }
+    let (plan, dissociated) = {
+        let mut slot = describe.lock().expect("describe memo lock");
+        match &*slot {
+            Some((k, v)) if *k == key => v.clone(),
+            _ => {
+                let v = describe_bounds(resolved, candidates, &choice);
+                *slot = Some((key, v.clone()));
+                v
             }
         }
-        None => describe_bounds(resolved, candidates, &choice),
     };
     DissociatedBounds {
         lower: choice.lower,
@@ -432,10 +399,11 @@ pub(crate) enum CompiledProgram {
 
 /// Bound registers memoized inside a cache entry: the gathered, pre-
 /// sorted columns of every deterministic program, valid exactly while
-/// every relation's data version matches `versions`. A warm hit whose
-/// stamps match skips predicate compilation and register binding and goes
-/// straight to the fold; any mutation makes the stamps differ and the
-/// next evaluation rebinds (and overwrites) the registers.
+/// every relation's data version matches `versions`. The cold miss that
+/// creates the entry binds them; a warm hit whose stamps match skips
+/// predicate compilation and register binding and goes straight to the
+/// fold; any mutation makes the stamps differ and the next evaluation
+/// patches or rebinds (and overwrites) the registers.
 #[derive(Debug)]
 pub(crate) struct BoundRegs {
     /// Data versions the registers were gathered under, term order.
@@ -445,9 +413,11 @@ pub(crate) struct BoundRegs {
     /// just those leading-key ranges ([`vm::patch_term`]) and splices
     /// the untouched runs over from the memo.
     pub shard_versions: Vec<Vec<u64>>,
-    /// Register sets per program: `[regs]` for a boolean program, the
-    /// [`bind_bounds`] layout for a bounds ensemble, empty for a count
-    /// program (whose memo is [`BoundRegs::count`]).
+    /// Register sets per program: `[regs]` for a boolean program;
+    /// candidate-major for a bounds ensemble, upper program first then
+    /// lower (their sort paths differ, so each program gets its own
+    /// register set); empty for a count program (whose memo is
+    /// [`BoundRegs::count`]).
     pub per_program: Vec<Vec<vm::TermRegs>>,
     /// Memoized grouped mass tables of an expected-count program, step
     /// order; reused per step while that step's term data is unchanged.
@@ -492,7 +462,7 @@ pub(crate) struct CachedPlan {
     pub decomposition: Option<SafePlan>,
     pub program: CompiledProgram,
     /// Version-guarded register memo (see [`BoundRegs`]); `None` until
-    /// the first warm execution binds it.
+    /// the first execution binds it, and always for sampled verdicts.
     pub regs: Mutex<Option<BoundRegs>>,
     /// Bounds report-rendering memo (see [`DescribeMemo`]).
     pub describe: DescribeMemo,
@@ -660,13 +630,10 @@ fn patchable(resolved: &Resolved, path: &[usize], t: usize) -> bool {
     })
 }
 
-/// Result of [`rebind_or_patch`]: the refreshed register sets in the
-/// memo layout, plus how they were obtained (for the cache counters).
+/// Result of [`rebind_or_patch`]: the refreshed memo, plus how its
+/// register sets were obtained (for the cache counters).
 pub(crate) struct RegsMaintenance {
-    /// Register sets per program, [`BoundRegs::per_program`] layout.
-    pub per_program: Vec<Vec<vm::TermRegs>>,
-    /// Refreshed mass tables of a count program.
-    pub count: Option<Vec<exact::MassTable>>,
+    pub regs: BoundRegs,
     /// Term register sets refreshed by range patching.
     pub patched: u64,
     /// Term register sets (or mass tables) rebuilt from scratch.
@@ -678,12 +645,15 @@ pub(crate) struct RegsMaintenance {
 /// move over untouched, terms whose data moved in only some shards are
 /// range-patched ([`vm::patch_term`]), and everything else is re-bound.
 /// Count programs refresh per-step mass tables the same way (reuse per
-/// unchanged term, rebuild otherwise). With no usable memo, every
-/// program binds fresh — fanned out over the rayon pool when it has
-/// more than one thread (per-program binds are independent and collect
-/// in program order, so the result is identical either way).
+/// unchanged term, rebuild otherwise). With no usable memo — a cold
+/// miss, or a memo of another layout — every program binds fresh, one
+/// after another: a bounds ensemble's binds are small, and fanning them
+/// out would start OS threads inside serving workers that already run
+/// one query per core. Count mass tables build over the rayon pool when
+/// it has more than one thread.
 pub(crate) fn rebind_or_patch(
     plan: &CachedPlan,
+    old: Option<BoundRegs>,
     resolved: &Resolved,
     compiled: &[CompiledTerm],
     versions: &[u64],
@@ -700,13 +670,15 @@ pub(crate) fn rebind_or_patch(
         CompiledProgram::Count(cp) => cp.steps.as_deref(),
         _ => None,
     };
-    let old = plan.regs.lock().expect("register memo lock").take();
+    let parallel = rayon::current_num_threads() > 1;
     let mut patched = 0u64;
     let mut rebound = 0u64;
-    if let Some(memo) = old {
-        if memo.per_program.len() == programs.len()
+    let usable = old.filter(|memo| {
+        memo.per_program.len() == programs.len()
             && memo.shard_versions.len() == resolved.terms.len()
-        {
+    });
+    let (per_program, count) = match usable {
+        Some(memo) => {
             let deltas = term_deltas(resolved, &memo.shard_versions);
             let per_program: Vec<Vec<vm::TermRegs>> = programs
                 .iter()
@@ -748,39 +720,38 @@ pub(crate) fn rebind_or_patch(
                         .collect(),
                     None => {
                         rebound += st.len() as u64;
-                        exact::mass_tables(st, compiled, rayon::current_num_threads() > 1)
+                        exact::mass_tables(st, compiled, parallel)
                     }
                 }
             });
-            return RegsMaintenance {
-                per_program,
-                count,
-                patched,
-                rebound,
-            };
+            (per_program, count)
         }
-    }
-    let parallel = rayon::current_num_threads() > 1;
-    rebound += (programs.len() * resolved.terms.len()) as u64;
-    let per_program: Vec<Vec<vm::TermRegs>> = if parallel && programs.len() > 1 {
-        use rayon::prelude::*;
-        programs
-            .into_par_iter()
-            .map(|prog| vm::bind_program(prog, compiled))
-            .collect()
-    } else {
-        programs
-            .iter()
-            .map(|prog| vm::bind_program(prog, compiled))
-            .collect()
+        None => {
+            rebound += (programs.len() * resolved.terms.len()) as u64;
+            let per_program: Vec<Vec<vm::TermRegs>> = programs
+                .iter()
+                .map(|prog| vm::bind_program(prog, compiled))
+                .collect();
+            let count = steps.map(|st| {
+                rebound += st.len() as u64;
+                exact::mass_tables(st, compiled, parallel)
+            });
+            (per_program, count)
+        }
     };
-    let count = steps.map(|st| {
-        rebound += st.len() as u64;
-        exact::mass_tables(st, compiled, parallel)
-    });
-    RegsMaintenance {
+    let regs = BoundRegs {
+        versions: versions.to_vec(),
+        shard_versions: resolved
+            .terms
+            .iter()
+            .map(|t| t.db.shard_versions().to_vec())
+            .collect(),
         per_program,
         count,
+        stats: super::relation_stats(compiled),
+    };
+    RegsMaintenance {
+        regs,
         patched,
         rebound,
     }
@@ -815,6 +786,14 @@ pub struct PlanCacheStats {
     pub len: usize,
     /// Maximum number of cached plans.
     pub capacity: usize,
+}
+
+/// A [`PlanCache::probe`] hit: the entry, its recorded data versions,
+/// and whether the lock-free hot tier served it.
+pub(crate) struct Probe {
+    pub plan: Arc<CachedPlan>,
+    pub versions: Vec<u64>,
+    pub hot: bool,
 }
 
 #[derive(Debug)]
@@ -1026,36 +1005,6 @@ impl PlanCache {
         &self.hot[(mix as usize) % HOT_SLOTS]
     }
 
-    /// Probes the lock-free hot tier: one atomic load, a key compare,
-    /// and per-term atomic version loads — no stripe lock. Callers
-    /// verify the shape and route stale entries through
-    /// [`PlanCache::invalidate`] exactly like a striped hit.
-    pub(crate) fn probe_hot(&self, tag: u8, hash: u64) -> Option<(Arc<CachedPlan>, Vec<u64>)> {
-        let ptr = self.hot_slot(tag, hash).load(Ordering::Acquire);
-        if ptr.is_null() {
-            return None;
-        }
-        // Safety: hot entries are never deallocated while the cache is
-        // alive (replaced ones go to the graveyard, freed only in
-        // `Drop`), and every caller borrows the cache.
-        let entry = unsafe { &*ptr };
-        if entry.tag != tag || entry.hash != hash {
-            return None;
-        }
-        let versions = entry.versions[..entry.nterms]
-            .iter()
-            .map(|v| v.load(Ordering::Acquire))
-            .collect();
-        Some((entry.plan.clone(), versions))
-    }
-
-    /// Counts one answer served from the hot tier (also counted as a
-    /// regular [`PlanCacheStats::hits`] so warm-ratio math is unchanged).
-    pub(crate) fn record_hot_hit(&self) {
-        self.hot_hits.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Installs (or refreshes) `(tag, hash)` in its hot slot. The old
     /// resident is retired, never freed in place — a reader may still
     /// hold it. Promotion is skipped when the graveyard is full.
@@ -1095,7 +1044,7 @@ impl PlanCache {
         if ptr.is_null() {
             return;
         }
-        // Safety: see `probe_hot` — live until cache drop.
+        // Safety: see `probe` — live until cache drop.
         let entry = unsafe { &*ptr };
         if entry.tag == tag && entry.hash == hash {
             let old = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
@@ -1117,11 +1066,38 @@ impl PlanCache {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The entry under `(tag, hash)`, LRU-bumped, with its recorded data
-    /// versions. Callers verify the shape and count the hit or miss.
-    /// Every [`HOT_PROMOTE_HITS`]th striped hit promotes the shape into
-    /// the hot tier (after the stripe lock is released).
-    pub(crate) fn probe(&self, tag: u8, hash: u64) -> Option<(Arc<CachedPlan>, Vec<u64>)> {
+    /// The entry under `(tag, hash)` whose plan passes `matches` (the
+    /// caller's full shape verification), with its recorded data
+    /// versions. The lock-free hot tier is probed first: one atomic load,
+    /// a key compare and per-term atomic version loads, no stripe lock.
+    /// Otherwise the striped entry is LRU-bumped and, every
+    /// [`HOT_PROMOTE_HITS`]th probe, promoted into the hot tier (after
+    /// the stripe lock is released). Callers count the hit
+    /// ([`PlanCache::record_hit`]) or miss, and route stale entries
+    /// through [`PlanCache::invalidate`].
+    pub(crate) fn probe(
+        &self,
+        tag: u8,
+        hash: u64,
+        matches: impl Fn(&CachedPlan) -> bool,
+    ) -> Option<Probe> {
+        let ptr = self.hot_slot(tag, hash).load(Ordering::Acquire);
+        if !ptr.is_null() {
+            // Safety: hot entries are never deallocated while the cache
+            // is alive (replaced ones go to the graveyard, freed only in
+            // `Drop`), and every caller borrows the cache.
+            let entry = unsafe { &*ptr };
+            if entry.tag == tag && entry.hash == hash && matches(&entry.plan) {
+                return Some(Probe {
+                    plan: entry.plan.clone(),
+                    versions: entry.versions[..entry.nterms]
+                        .iter()
+                        .map(|v| v.load(Ordering::Acquire))
+                        .collect(),
+                    hot: true,
+                });
+            }
+        }
         let tick = self.next_tick();
         let (plan, versions, promote) = {
             let mut stripe = self.lock(self.stripe_of(tag, hash));
@@ -1137,11 +1113,20 @@ impl PlanCache {
         if promote {
             self.promote(tag, hash, &plan, &versions);
         }
-        Some((plan, versions))
+        matches(&plan).then_some(Probe {
+            plan,
+            versions,
+            hot: false,
+        })
     }
 
-    pub(crate) fn record_hit(&self) {
+    /// Counts one warm hit; `hot` hits are also counted in
+    /// [`PlanCacheStats::hot_hits`].
+    pub(crate) fn record_hit(&self, hot: bool) {
         self.hits.fetch_add(1, Ordering::Relaxed);
+        if hot {
+            self.hot_hits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn record_miss(&self) {
@@ -1191,7 +1176,7 @@ impl PlanCache {
         }
         let ptr = self.hot_slot(tag, hash).load(Ordering::Acquire);
         if !ptr.is_null() {
-            // Safety: see `probe_hot` — live until cache drop.
+            // Safety: see `probe` — live until cache drop.
             let entry = unsafe { &*ptr };
             if entry.tag == tag && entry.hash == hash && entry.nterms == versions.len() {
                 for (cell, &v) in entry.versions.iter().zip(versions) {

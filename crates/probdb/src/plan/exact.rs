@@ -23,6 +23,12 @@
 //!   layout. No step allocates per row.
 //! * [`value_marginal`] — the selection-weighted histogram of one
 //!   attribute over a single relation.
+//!
+//! The first two are the reference interpreter, reached only through
+//! [`crate::testutil::interpreted`]: the engine answers both statistics
+//! with compiled programs, whose expected counts run this module's mass
+//! join kernels ([`mass_tables`], [`run_mass_join_tables`]) over memoized
+//! tables.
 
 use super::classify::{components, Class, CompiledTerm, Resolved};
 use mrsl_relation::AttrId;
@@ -402,8 +408,9 @@ pub(crate) fn mass_tables(
 /// the bound-key prefix) instead of an `assign × key` cross product.
 /// Assignments and mass tables are kept sorted with equal keys merge-
 /// summed, so the result is independent of hash iteration order; the
-/// interpreter and the bytecode VM both call this kernel, which makes
-/// their expected counts bit-identical by construction.
+/// interpreter calls this kernel, and the bytecode VM calls its two
+/// halves ([`mass_tables`], [`run_mass_join_tables`]), which makes their
+/// expected counts bit-identical by construction.
 pub(crate) fn run_mass_join(steps: &[MassStep], compiled: &[CompiledTerm], classes: usize) -> f64 {
     run_mass_join_tables(steps, &mass_tables(steps, compiled, false), classes, 1)
 }
@@ -761,9 +768,10 @@ mod tests {
     use super::fixtures::{chain, compile, random_join, star};
     use super::*;
     use crate::algebra::Query;
+    use crate::algebra::Statistic;
     use crate::catalog::Catalog;
-    use crate::plan::{CatalogEngine, QueryEngineConfig};
-    use crate::testutil::oracle_expected_count;
+    use crate::plan::{CatalogEngine, QueryAnswer, QueryEngineConfig};
+    use crate::testutil::{interpreted, oracle_expected_count};
 
     /// The expected-count kernel as it was before strided keys: one heap
     /// `Vec<u16>` per key, comparison sorts, a merge that moves every
@@ -923,17 +931,18 @@ mod tests {
                 (e - oracle).abs() <= 1e-12 * oracle.max(1.0),
                 "{e} vs oracle {oracle}"
             );
-            for compile_plans in [false, true] {
-                let engine = CatalogEngine::with_config(
-                    &catalog,
-                    QueryEngineConfig {
-                        compile_plans,
-                        ..QueryEngineConfig::default()
-                    },
-                );
-                let (served, _) = engine.expected_count(&query).unwrap();
-                assert_eq!(served.to_bits(), e.to_bits());
-            }
+            let (served, _) = CatalogEngine::new(&catalog).expected_count(&query).unwrap();
+            assert_eq!(served.to_bits(), e.to_bits());
+            let reference = interpreted(
+                &catalog,
+                &query,
+                Statistic::ExpectedCount,
+                &QueryEngineConfig::default(),
+            );
+            let Ok((QueryAnswer::Count { mean, .. }, _)) = reference else {
+                panic!("interpreter count expected: {reference:?}");
+            };
+            assert_eq!(mean.to_bits(), e.to_bits());
         }
     }
 
@@ -999,13 +1008,13 @@ mod tests {
 /// where it cancels: many blocks, each with a tiny selected mass.
 #[cfg(test)]
 mod numerics {
-    use crate::algebra::Query;
+    use crate::algebra::{Query, Statistic};
     use crate::block::{Alternative, Block};
     use crate::catalog::Catalog;
     use crate::database::ProbDb;
-    use crate::plan::{CatalogEngine, QueryEngineConfig};
+    use crate::plan::{CatalogEngine, QueryAnswer, QueryEngineConfig};
     use crate::predicate::Predicate;
-    use crate::testutil::noisy_or;
+    use crate::testutil::{interpreted, noisy_or};
     use mrsl_relation::{AttrId, CompleteTuple, Schema, ValueId};
 
     /// `r(k, ok)`: one block per probability, all at key `k0`, with the
@@ -1048,19 +1057,18 @@ mod numerics {
             .filter(ok())
             .join_on(Query::scan("r").filter(ok()), [(AttrId(0), AttrId(0))]);
         let reference = noisy_or(probs.iter().copied());
+        let engine = CatalogEngine::new(&catalog);
+        let config = QueryEngineConfig::default();
         let mut errors = Vec::new();
-        for compile_plans in [false, true] {
-            let engine = CatalogEngine::with_config(
-                &catalog,
-                QueryEngineConfig {
-                    compile_plans,
-                    ..QueryEngineConfig::default()
-                },
-            );
-            for q in [&single, &join] {
-                let (p, _) = engine.probability(q).unwrap();
-                errors.push((p - reference).abs() / reference);
-            }
+        for q in [&single, &join] {
+            let (p, _) = engine.probability(q).unwrap();
+            errors.push((p - reference).abs() / reference);
+            let Ok((QueryAnswer::Probability { p, .. }, _)) =
+                interpreted(&catalog, q, Statistic::Probability, &config)
+            else {
+                panic!("interpreter probability expected");
+            };
+            errors.push((p - reference).abs() / reference);
         }
         errors
     }

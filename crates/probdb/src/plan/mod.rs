@@ -33,6 +33,14 @@
 //! per-relation scan statistics, and — for joins — the [`SafePlan`]
 //! decomposition that justified (or failed) the exact route.
 //!
+//! [`Statistic::Probability`], [`Statistic::ProbabilityBounds`] and
+//! [`Statistic::ExpectedCount`] answers — cold or warm, exact, bracketed
+//! or sampled — all come from one executor over a cached plan: a cold
+//! miss plans, compiles and captures the shape, then runs the same
+//! executor a warm hit runs. The recursive interpreter those compiled
+//! plans reproduce bit for bit is the test oracle
+//! [`crate::testutil::interpreted`].
+//!
 //! Liftable plans are additionally *differentiable*: the safe plan is a
 //! pure product/complement tree over the block-alternative masses, and
 //! [`CatalogEngine::probability_with_gradient`] runs a reverse-mode
@@ -42,10 +50,10 @@
 
 pub(crate) mod classify;
 mod compile;
-mod dissociate;
-mod exact;
+pub(crate) mod dissociate;
+pub(crate) mod exact;
 mod grad;
-mod mc;
+pub(crate) mod mc;
 mod report;
 mod vm;
 
@@ -68,12 +76,19 @@ use crate::ProbDbError;
 use classify::{
     alias_groups, alias_live_mismatch, classify, key_straddle, resolve, CompiledTerm, Resolved,
 };
-use compile::{cache_tag, CachedPlan, CompiledProgram};
-use dissociate::BoundsPlan;
+use compile::{cache_tag, CachedPlan, CompiledProgram, Probe};
+pub(crate) use dissociate::BoundsPlan;
 use mrsl_relation::AttrId;
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Tunables of the query engines.
+///
+/// [`Statistic::Probability`], [`Statistic::ProbabilityBounds`] and
+/// [`Statistic::ExpectedCount`] always run as compiled plans reused
+/// through the shape-keyed [`PlanCache`]; the reference interpreter
+/// they are checked against is a test oracle,
+/// [`crate::testutil::interpreted`], not a setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryEngineConfig {
     /// Worlds sampled on the Monte-Carlo path.
@@ -93,13 +108,6 @@ pub struct QueryEngineConfig {
     /// ([`EvalPath::Hybrid`]); set it to `1.0` to never sample, `0.0` to
     /// always refine non-collapsed brackets.
     pub bounds_tolerance: f64,
-    /// Compile [`Statistic::Probability`], [`Statistic::ProbabilityBounds`]
-    /// and [`Statistic::ExpectedCount`] plans to bytecode executed by the
-    /// vectorized VM, and reuse them through the shape-keyed [`PlanCache`]
-    /// ([`PlanRoute::Compiled`] / [`PlanRoute::CacheHit`]). Off, every
-    /// answer comes from the reference interpreter
-    /// ([`PlanRoute::Interpreted`]).
-    pub compile_plans: bool,
     /// Capacity (in plans) of the [`PlanCache`] new engines construct;
     /// ignored by [`CatalogEngine::with_plan_cache`], which brings its
     /// own.
@@ -124,7 +132,6 @@ impl Default for QueryEngineConfig {
             max_exact_dp_blocks: 4_096,
             force_monte_carlo: false,
             bounds_tolerance: 0.05,
-            compile_plans: true,
             plan_cache_capacity: 128,
             shards: 0,
         }
@@ -355,22 +362,19 @@ impl<'a> CatalogEngine<'a> {
     /// would route to Monte Carlo (non-hierarchical, key-correlated,
     /// aliased) return [`ProbDbError::NotDifferentiable`] with the
     /// classifier's reason. The probability matches
-    /// [`CatalogEngine::probability`]'s interpreter path bit for bit; the
-    /// gradients feed the tuple-probability optimizer in `mrsl_learn`,
-    /// which projects updates back onto each block's simplex and writes
-    /// them through [`crate::ProbDb::set_block_masses`].
+    /// [`CatalogEngine::probability`]'s compiled plan bit for bit (the
+    /// backward sweep's forward half is the reference interpreter's
+    /// recursion, [`crate::testutil::interpreted`]); the gradients feed
+    /// the tuple-probability optimizer in `mrsl_learn`, which projects
+    /// updates back onto each block's simplex and writes them through
+    /// [`crate::ProbDb::set_block_masses`].
     pub fn probability_with_gradient(
         &self,
         q: &Query,
     ) -> Result<(f64, MassGradients), ProbDbError> {
         let flat = q.flatten()?;
         let resolved = resolve(&flat, |name| self.catalog.get(name))?;
-        let compiled: Vec<CompiledTerm> = resolved
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-            .collect();
+        let compiled = compile_terms(&resolved);
         if resolved.terms.len() > 1 {
             let c = classify(&resolved, &compiled);
             if c.class != PlanClass::Liftable {
@@ -392,20 +396,21 @@ impl<'a> CatalogEngine<'a> {
     }
 }
 
-/// A resolved, compiled, classified query — everything both `plan` and
-/// `evaluate` need.
-struct Prepared<'a> {
-    resolved: Resolved<'a>,
-    compiled: Vec<CompiledTerm<'a>>,
-    path: EvalPath,
-    plan: PlanClass,
-    decomposition: Option<SafePlan>,
+/// A resolved, compiled, classified query — everything `plan`,
+/// `evaluate` and the reference interpreter
+/// ([`crate::testutil::interpreted`]) need.
+pub(crate) struct Prepared<'a> {
+    pub resolved: Resolved<'a>,
+    pub compiled: Vec<CompiledTerm<'a>>,
+    pub path: EvalPath,
+    pub plan: PlanClass,
+    pub decomposition: Option<SafePlan>,
     /// How to answer [`Statistic::ProbabilityBounds`]; `None` for every
     /// other statistic.
-    bounds_plan: Option<BoundsPlan>,
+    pub bounds_plan: Option<BoundsPlan>,
 }
 
-fn prepare<'a>(
+pub(crate) fn prepare<'a>(
     lookup: impl Fn(&str) -> Option<&'a ProbDb>,
     flat: &Flattened,
     stat: Statistic,
@@ -423,12 +428,7 @@ fn prepare<'a>(
             statistic: stat.name(),
         });
     }
-    let compiled: Vec<CompiledTerm<'a>> = resolved
-        .terms
-        .iter()
-        .enumerate()
-        .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-        .collect();
+    let compiled = compile_terms(&resolved);
     let classification = (!single).then(|| classify(&resolved, &compiled));
     let decomposition = classification.as_ref().map(|c| c.decomposition.clone());
     let forced = config.force_monte_carlo;
@@ -522,43 +522,26 @@ fn evaluate_with<'a>(
     cache: &PlanCache,
 ) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
     let flat = q.flatten()?;
+    let Some(tag) = cache_tag(stat) else {
+        return evaluate_uncached(prepare(&lookup, &flat, stat, config)?, stat, config);
+    };
+    let hash = flat.shape_hash();
     // Forced Monte Carlo overrides every planning verdict, so its answers
     // are neither produced from nor stored into the cache.
-    let slot = (config.compile_plans && !config.force_monte_carlo)
-        .then(|| cache_tag(stat))
-        .flatten()
-        .map(|tag| (tag, flat.shape_hash()));
-    if let Some((tag, hash)) = slot {
-        // Hot tier first: repeatedly-hit shapes are served without
-        // touching a stripe lock. A stale or colliding hot entry falls
-        // through to the striped probe exactly like a cold shape.
-        if let Some((plan, versions)) = cache.probe_hot(tag, hash) {
-            if plan.matches(&flat) {
-                match execute_cached(&lookup, &plan, &versions, tag, hash, stat, config, cache)? {
-                    Some(result) => {
-                        cache.record_hot_hit();
-                        return Ok(result);
-                    }
-                    // Stale: schema or guarded data property changed.
-                    None => cache.invalidate(tag, hash),
+    if !config.force_monte_carlo {
+        if let Some(hit) = cache.probe(tag, hash, |plan| plan.matches(&flat)) {
+            match execute_cached(&lookup, &hit, (tag, hash), stat, config, cache)? {
+                Some(result) => {
+                    cache.record_hit(hit.hot);
+                    return Ok(result);
                 }
-            }
-        }
-        if let Some((plan, versions)) = cache.probe(tag, hash) {
-            if plan.matches(&flat) {
-                match execute_cached(&lookup, &plan, &versions, tag, hash, stat, config, cache)? {
-                    Some(result) => {
-                        cache.record_hit();
-                        return Ok(result);
-                    }
-                    // Stale: schema or guarded data property changed.
-                    None => cache.invalidate(tag, hash),
-                }
+                // Stale: schema or guarded data property changed.
+                None => cache.invalidate(tag, hash),
             }
         }
         cache.record_miss();
     }
-    evaluate_cold(&lookup, &flat, stat, config, slot, cache)
+    evaluate_cold(&lookup, &flat, (tag, hash), stat, config, cache)
 }
 
 /// Executes a shape-verified cache entry against current column data, or
@@ -569,13 +552,10 @@ fn evaluate_with<'a>(
 /// data version moved, both are recomputed (linear scans) and compared to
 /// the recorded verdicts — unchanged verdicts revalidate the entry,
 /// flipped ones condemn it.
-#[allow(clippy::too_many_arguments)]
 fn execute_cached<'a, F>(
     lookup: &F,
-    plan: &CachedPlan,
-    recorded_versions: &[u64],
-    tag: u8,
-    hash: u64,
+    hit: &Probe,
+    (tag, hash): (u8, u64),
     stat: Statistic,
     config: &QueryEngineConfig,
     cache: &PlanCache,
@@ -583,323 +563,236 @@ fn execute_cached<'a, F>(
 where
     F: Fn(&str) -> Option<&'a ProbDb>,
 {
+    let plan = &hit.plan;
     let Some((resolved, versions)) = plan.bind(lookup) else {
         return Ok(None);
     };
-    // Register fast path: with every data stamp unchanged the guards
-    // still hold and the memoized registers are still the data — skip
-    // predicate compilation and register binding, run the fold alone.
-    if versions.as_slice() == recorded_versions {
-        if let Some(result) = run_prebound_fast(plan, &resolved, &versions, stat, config) {
-            return Ok(Some(result));
-        }
-    }
-    let compiled: Vec<CompiledTerm> = resolved
-        .terms
-        .iter()
-        .enumerate()
-        .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
-        .collect();
-    if versions.as_slice() != recorded_versions {
-        let straddle = key_straddle(&resolved, &compiled).is_some();
-        let mismatch = alias_live_mismatch(&resolved, &compiled).is_some();
+    let compiled = OnceCell::new();
+    if versions != hit.versions {
+        let terms = compiled.get_or_init(|| compile_terms(&resolved));
+        let straddle = key_straddle(&resolved, terms).is_some();
+        let mismatch = alias_live_mismatch(&resolved, terms).is_some();
         if straddle != plan.straddle || mismatch != plan.alias_mismatch {
             return Ok(None);
         }
         cache.refresh_versions(tag, hash, &versions);
     }
-    let samples = config.mc_samples;
-    let mut path = plan.path;
-    if path == EvalPath::MonteCarlo && samples == 0 {
-        return Err(ProbDbError::NoSamples);
-    }
-    let classes = resolved.classes.len();
-    let mut decomposition = plan.decomposition.clone();
-    let mut dissociated: Vec<String> = Vec::new();
-    let shards = config.shards;
-    let answer = match (&plan.program, stat) {
-        (CompiledProgram::Boolean(prog), Statistic::Probability) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let p = vm::run_prebound_sharded(prog, &maint.per_program[0], shards);
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                None,
-                &compiled,
-            );
-            QueryAnswer::Probability { p, std_error: None }
-        }
-        // Safe shapes collapse the bracket to the exact probability.
-        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let p = vm::run_prebound_sharded(prog, &maint.per_program[0], shards);
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                None,
-                &compiled,
-            );
-            QueryAnswer::Bounds(ProbabilityBounds::exact(p))
-        }
-        (
-            CompiledProgram::Bounds {
-                candidates,
-                programs,
-            },
-            Statistic::ProbabilityBounds,
-        ) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let eval = compile::run_bounds_prebound(
-                &resolved,
-                candidates,
-                programs,
-                &maint.per_program,
-                shards,
-                Some(&plan.describe),
-            );
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                None,
-                &compiled,
-            );
-            decomposition = Some(eval.plan);
-            dissociated = eval.dissociated;
-            let mut bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-            // The hybrid upgrade is re-decided per answer with the
-            // current config, never cached.
-            if bounds.width() > config.bounds_tolerance && samples > 0 {
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                let (p, se) = mc::probability_estimate(&counts);
-                bounds.estimate = Some(p.clamp(bounds.lower, bounds.upper));
-                bounds.std_error = Some(se);
-                path = EvalPath::Hybrid;
-            }
-            QueryAnswer::Bounds(bounds)
-        }
-        (CompiledProgram::Count(prog), Statistic::ExpectedCount) => {
-            let maint = compile::rebind_or_patch(plan, &resolved, &compiled, &versions);
-            cache.record_reg_maintenance(maint.patched, maint.rebound);
-            let mean = match (&prog.steps, &maint.count) {
-                (Some(steps), Some(tables)) => {
-                    exact::run_mass_join_tables(steps, tables, prog.classes, shards)
-                }
-                _ => vm::run_count(prog, &compiled),
-            };
-            memoize_regs(
-                plan,
-                &versions,
-                &resolved,
-                maint.per_program,
-                maint.count,
-                &compiled,
-            );
-            QueryAnswer::Count {
-                mean,
-                std_error: None,
-            }
-        }
-        (CompiledProgram::Sampled { bounds_reason }, _) => match stat {
-            Statistic::Probability => {
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                let (p, se) = mc::probability_estimate(&counts);
-                QueryAnswer::Probability {
-                    p,
-                    std_error: Some(se),
-                }
-            }
-            Statistic::ProbabilityBounds => {
-                if let Some(reason) = bounds_reason {
-                    decomposition = Some(SafePlan::Unsafe {
-                        reason: reason.clone(),
-                    });
-                }
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                let (p, se) = mc::probability_estimate(&counts);
-                QueryAnswer::Bounds(ProbabilityBounds {
-                    lower: 0.0,
-                    upper: 1.0,
-                    estimate: Some(p),
-                    std_error: Some(se),
-                })
-            }
-            Statistic::ExpectedCount => {
-                let (mean, se) = if classes == 0 && compiled.len() == 1 {
-                    let ct = &compiled[0];
-                    let sel = CompiledSelection {
-                        certain_count: ct.live_certain.count_ones(),
-                        alt_matches: ct.live_alts.clone(),
-                    };
-                    mc_expected_count_compiled(ct.db, &sel, samples, config.mc_seed)
-                } else {
-                    let counts =
-                        mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                    mc::count_estimate(&counts)
-                };
-                QueryAnswer::Count {
-                    mean,
-                    std_error: Some(se),
-                }
-            }
-            _ => return Ok(None),
-        },
-        // Program/statistic mismatch cannot happen (the statistic tag is
-        // part of the cache key); replan defensively instead of asserting.
-        _ => return Ok(None),
-    };
-    let relations = relation_stats(&compiled);
-    let mc_samples = match path {
-        EvalPath::ExactColumnar => 0,
-        EvalPath::MonteCarlo | EvalPath::Hybrid => samples,
-    };
-    let report = EvalReport::new(
-        path,
-        PlanRoute::CacheHit,
-        plan.plan_class,
-        relations,
-        mc_samples,
-        decomposition,
-        dissociated,
-    );
-    Ok(Some((answer, report)))
+    execute(
+        plan,
+        &resolved,
+        compiled,
+        &versions,
+        stat,
+        config,
+        Some(cache),
+    )
+    .map(Some)
 }
 
+/// A cold miss: plans and compiles the shape, captures it as a cache
+/// entry, answers through [`execute`] — which leaves the entry's
+/// registers bound — and caches the entry, unless sampling was forced.
 fn evaluate_cold<'a>(
     lookup: &impl Fn(&str) -> Option<&'a ProbDb>,
     flat: &Flattened,
+    (tag, hash): (u8, u64),
     stat: Statistic,
     config: &QueryEngineConfig,
-    slot: Option<(u8, u64)>,
     cache: &PlanCache,
 ) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
-    let prepared = prepare(lookup, flat, stat, config)?;
     let Prepared {
         resolved,
         compiled,
-        mut path,
+        path,
         plan,
-        mut decomposition,
+        decomposition,
         bounds_plan,
-    } = prepared;
-    // The cache stores the planning-time verdicts: the pre-hybrid path and
-    // the classifier's decomposition (bounds answers re-derive the winning
-    // candidate's decomposition at evaluation time).
-    let planned_path = path;
-    let stored_decomposition = decomposition.clone();
-    let use_vm = slot.is_some();
-    let mut route = PlanRoute::Interpreted;
-    let mut built: Option<CompiledProgram> = None;
-    let mut dissociated: Vec<String> = Vec::new();
-    let classes = resolved.classes.len();
+    } = prepare(lookup, flat, stat, config)?;
+    let program = match (stat, path, bounds_plan) {
+        (_, EvalPath::MonteCarlo, bounds_plan) => CompiledProgram::Sampled {
+            bounds_reason: match bounds_plan {
+                Some(BoundsPlan::Sample(reason)) => Some(reason),
+                _ => None,
+            },
+        },
+        (_, _, Some(BoundsPlan::Dissociate(candidates))) => CompiledProgram::Bounds {
+            programs: compile::compile_bounds(&resolved, &candidates),
+            candidates,
+        },
+        (Statistic::ExpectedCount, ..) => CompiledProgram::Count(compile::compile_count(&resolved)),
+        // Probability, and the bracket of a safe shape, which collapses
+        // to the exact probability.
+        _ => CompiledProgram::Boolean(compile::compile_boolean(&resolved)),
+    };
+    let (entry, versions) = CachedPlan::capture(
+        flat,
+        &resolved,
+        &compiled,
+        path,
+        plan,
+        decomposition,
+        program,
+    );
+    let compiled = OnceCell::from(compiled);
+    let answer = execute(&entry, &resolved, compiled, &versions, stat, config, None)?;
+    if !config.force_monte_carlo {
+        cache.insert(tag, hash, Arc::new(entry), versions);
+    }
+    Ok(answer)
+}
+
+/// The one executor behind every [`Statistic::Probability`],
+/// [`Statistic::ProbabilityBounds`] and [`Statistic::ExpectedCount`]
+/// answer: cold misses, warm hits and forced Monte Carlo alike. `warm`
+/// is the cache a warm hit came from; a cold run passes `None`.
+///
+/// A deterministic program first makes the entry's register memo
+/// current — kept as is while every data stamp matches, otherwise
+/// patched or bound afresh ([`compile::rebind_or_patch`]; only warm
+/// maintenance counts in the cache's `reg_*` counters) — then folds the
+/// registers under the memo lock. Sampling and the hybrid refinement of
+/// a dissociation bracket run after the lock is released. Terms compile
+/// lazily: only a bind, a sampler or a refinement needs them.
+fn execute<'a>(
+    plan: &CachedPlan,
+    resolved: &Resolved<'a>,
+    compiled: OnceCell<Vec<CompiledTerm<'a>>>,
+    versions: &[u64],
+    stat: Statistic,
+    config: &QueryEngineConfig,
+    warm: Option<&PlanCache>,
+) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
     let samples = config.mc_samples;
-    if path == EvalPath::MonteCarlo && samples == 0 {
+    if plan.path == EvalPath::MonteCarlo && samples == 0 {
         return Err(ProbDbError::NoSamples);
     }
-    let single_selection = |ct: &CompiledTerm| CompiledSelection {
-        certain_count: ct.live_certain.count_ones(),
-        alt_matches: ct.live_alts.clone(),
-    };
+    let terms = || compiled.get_or_init(|| compile_terms(resolved));
+    let classes = resolved.classes.len();
     let shards = config.shards;
-    let answer = match (stat, path) {
-        (Statistic::Probability, EvalPath::ExactColumnar) => {
-            let p = if use_vm {
-                let prog = compile::compile_boolean(&resolved);
-                let regs = vm::bind_program(&prog, &compiled);
-                let p = vm::run_prebound_sharded(&prog, &regs, shards);
-                built = Some(CompiledProgram::Boolean(prog));
-                route = PlanRoute::Compiled;
-                p
-            } else {
-                exact::boolean_probability(&resolved, &compiled)
-            };
-            QueryAnswer::Probability { p, std_error: None }
+    let mut path = plan.path;
+    let mut decomposition = plan.decomposition.clone();
+    let mut dissociated = Vec::new();
+    let (mut answer, stats) = match &plan.program {
+        CompiledProgram::Sampled { bounds_reason } => {
+            // The report records why dissociation refused.
+            if let Some(reason) = bounds_reason {
+                decomposition = Some(SafePlan::Unsafe {
+                    reason: reason.clone(),
+                });
+            }
+            let answer = sampled_answer(stat, terms(), classes, config);
+            (answer, relation_stats(terms()))
         }
-        (Statistic::Probability, EvalPath::MonteCarlo) => {
-            built = use_vm.then_some(CompiledProgram::Sampled {
-                bounds_reason: None,
-            });
-            let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-            let (p, se) = mc::probability_estimate(&counts);
+        program => {
+            let mut memo = plan.regs.lock().expect("register memo lock");
+            let regs = match memo.take() {
+                Some(regs) if regs.versions == versions => regs,
+                old => {
+                    let maint = compile::rebind_or_patch(plan, old, resolved, terms(), versions);
+                    if let Some(cache) = warm {
+                        cache.record_reg_maintenance(maint.patched, maint.rebound);
+                    }
+                    maint.regs
+                }
+            };
+            let regs = memo.insert(regs);
+            let answer = match (program, stat) {
+                (CompiledProgram::Boolean(prog), Statistic::Probability) => {
+                    QueryAnswer::Probability {
+                        p: vm::run_prebound_sharded(prog, &regs.per_program[0], shards),
+                        std_error: None,
+                    }
+                }
+                (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => {
+                    QueryAnswer::Bounds(ProbabilityBounds::exact(vm::run_prebound_sharded(
+                        prog,
+                        &regs.per_program[0],
+                        shards,
+                    )))
+                }
+                (
+                    CompiledProgram::Bounds {
+                        candidates,
+                        programs,
+                    },
+                    Statistic::ProbabilityBounds,
+                ) => {
+                    let eval = compile::run_bounds_prebound(
+                        resolved,
+                        candidates,
+                        programs,
+                        &regs.per_program,
+                        shards,
+                        &plan.describe,
+                    );
+                    decomposition = Some(eval.plan);
+                    dissociated = eval.dissociated;
+                    QueryAnswer::Bounds(ProbabilityBounds::bracket(eval.lower, eval.upper))
+                }
+                (CompiledProgram::Count(prog), Statistic::ExpectedCount) => QueryAnswer::Count {
+                    mean: match (&prog.steps, &regs.count) {
+                        (Some(steps), Some(tables)) => {
+                            exact::run_mass_join_tables(steps, tables, prog.classes, shards)
+                        }
+                        _ => exact::single_expected_count(&terms()[0]),
+                    },
+                    std_error: None,
+                },
+                _ => unreachable!("the statistic tag is part of the cache key"),
+            };
+            (answer, regs.stats.clone())
+        }
+    };
+    // Bracket-gated refinement, re-decided per answer with the current
+    // config and never cached: sample only when the dissociation bracket
+    // is too loose to act on.
+    if let (CompiledProgram::Bounds { .. }, QueryAnswer::Bounds(bounds)) =
+        (&plan.program, &mut answer)
+    {
+        if bounds.width() > config.bounds_tolerance && samples > 0 {
+            refine(bounds, terms(), classes, config);
+            path = EvalPath::Hybrid;
+        }
+    }
+    let route = match (warm, &plan.program) {
+        (Some(_), _) => PlanRoute::CacheHit,
+        // A sampled verdict runs no bytecode; it is cached all the same.
+        (None, CompiledProgram::Sampled { .. }) => PlanRoute::Interpreted,
+        (None, _) => PlanRoute::Compiled,
+    };
+    let report = EvalReport::new(
+        path,
+        route,
+        plan.plan_class,
+        stats,
+        samples,
+        decomposition,
+        dissociated,
+    );
+    Ok((answer, report))
+}
+
+/// The Monte-Carlo answer to a cacheable statistic from
+/// [`QueryEngineConfig::mc_samples`] joint worlds; bounds sample inside
+/// the trivial `[0, 1]` bracket.
+pub(crate) fn sampled_answer(
+    stat: Statistic,
+    compiled: &[CompiledTerm],
+    classes: usize,
+    config: &QueryEngineConfig,
+) -> QueryAnswer {
+    let (samples, seed) = (config.mc_samples, config.mc_seed);
+    let counts = || mc::sample_join_counts(compiled, classes, samples, seed);
+    match stat {
+        Statistic::Probability => {
+            let (p, se) = mc::probability_estimate(&counts());
             QueryAnswer::Probability {
                 p,
                 std_error: Some(se),
             }
         }
-        (Statistic::ProbabilityBounds, EvalPath::ExactColumnar) => {
-            let bounds = match &bounds_plan {
-                Some(BoundsPlan::Dissociate(candidates)) => {
-                    let eval = if use_vm {
-                        let programs = compile::compile_bounds(&resolved, candidates);
-                        let eval = compile::run_bounds(
-                            &resolved, &compiled, candidates, &programs, shards,
-                        );
-                        built = Some(CompiledProgram::Bounds {
-                            candidates: candidates.clone(),
-                            programs,
-                        });
-                        route = PlanRoute::Compiled;
-                        eval
-                    } else {
-                        dissociate::evaluate_bounds(&resolved, &compiled, candidates)
-                    };
-                    decomposition = Some(eval.plan);
-                    dissociated = eval.dissociated;
-                    let mut bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-                    // Bracket-gated refinement: sample only when the
-                    // deterministic bounds are too loose to act on.
-                    if bounds.width() > config.bounds_tolerance && samples > 0 {
-                        let counts =
-                            mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                        let (p, se) = mc::probability_estimate(&counts);
-                        bounds.estimate = Some(p.clamp(bounds.lower, bounds.upper));
-                        bounds.std_error = Some(se);
-                        path = EvalPath::Hybrid;
-                    }
-                    bounds
-                }
-                // Safe queries (or single scans): the bracket collapses
-                // to the exact probability.
-                _ => {
-                    let p = if use_vm {
-                        let prog = compile::compile_boolean(&resolved);
-                        let regs = vm::bind_program(&prog, &compiled);
-                        let p = vm::run_prebound_sharded(&prog, &regs, shards);
-                        built = Some(CompiledProgram::Boolean(prog));
-                        route = PlanRoute::Compiled;
-                        p
-                    } else {
-                        exact::boolean_probability(&resolved, &compiled)
-                    };
-                    ProbabilityBounds::exact(p)
-                }
-            };
-            QueryAnswer::Bounds(bounds)
-        }
-        (Statistic::ProbabilityBounds, EvalPath::MonteCarlo) => {
-            // No sound dissociation (or sampling was forced): the only
-            // guaranteed bracket is the trivial one, refined by the
-            // estimate. The report records why dissociation refused.
-            let reason = match &bounds_plan {
-                Some(BoundsPlan::Sample(reason)) => Some(reason.clone()),
-                _ => None,
-            };
-            if let Some(r) = &reason {
-                decomposition = Some(SafePlan::Unsafe { reason: r.clone() });
-            }
-            built = use_vm.then_some(CompiledProgram::Sampled {
-                bounds_reason: reason,
-            });
-            let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-            let (p, se) = mc::probability_estimate(&counts);
+        Statistic::ProbabilityBounds => {
+            let (p, se) = mc::probability_estimate(&counts());
             QueryAnswer::Bounds(ProbabilityBounds {
                 lower: 0.0,
                 upper: 1.0,
@@ -907,49 +800,58 @@ fn evaluate_cold<'a>(
                 std_error: Some(se),
             })
         }
-        (Statistic::ExpectedCount, EvalPath::ExactColumnar) => {
-            let mean = if use_vm {
-                let prog = compile::compile_count(&resolved);
-                let mean = match &prog.steps {
-                    Some(steps) => {
-                        let tables =
-                            exact::mass_tables(steps, &compiled, rayon::current_num_threads() > 1);
-                        exact::run_mass_join_tables(steps, &tables, prog.classes, shards)
-                    }
-                    None => vm::run_count(&prog, &compiled),
-                };
-                built = Some(CompiledProgram::Count(prog));
-                route = PlanRoute::Compiled;
-                mean
-            } else if classes == 0 && compiled.len() == 1 {
-                // Single relations keep the legacy arithmetic (certain
-                // matches plus per-block marginals) so answers stay
-                // bit-identical with the historical single-table path.
-                exact::single_expected_count(&compiled[0])
-            } else {
-                exact::expected_join_count(&resolved, &compiled)
-            };
-            QueryAnswer::Count {
-                mean,
-                std_error: None,
-            }
-        }
-        (Statistic::ExpectedCount, EvalPath::MonteCarlo) => {
-            built = use_vm.then_some(CompiledProgram::Sampled {
-                bounds_reason: None,
-            });
+        Statistic::ExpectedCount => {
             let (mean, se) = if classes == 0 && compiled.len() == 1 {
                 let ct = &compiled[0];
-                mc_expected_count_compiled(ct.db, &single_selection(ct), samples, config.mc_seed)
+                mc_expected_count_compiled(ct.db, &single_selection(ct), samples, seed)
             } else {
-                let counts = mc::sample_join_counts(&compiled, classes, samples, config.mc_seed);
-                mc::count_estimate(&counts)
+                mc::count_estimate(&counts())
             };
             QueryAnswer::Count {
                 mean,
                 std_error: Some(se),
             }
         }
+        _ => unreachable!("{} has no cached plan", stat.name()),
+    }
+}
+
+/// Refines a dissociation bracket with a clamped Monte-Carlo point
+/// estimate (the [`EvalPath::Hybrid`] path).
+pub(crate) fn refine(
+    bounds: &mut ProbabilityBounds,
+    compiled: &[CompiledTerm],
+    classes: usize,
+    config: &QueryEngineConfig,
+) {
+    let counts = mc::sample_join_counts(compiled, classes, config.mc_samples, config.mc_seed);
+    let (p, se) = mc::probability_estimate(&counts);
+    bounds.estimate = Some(p.clamp(bounds.lower, bounds.upper));
+    bounds.std_error = Some(se);
+}
+
+/// Answers the statistics without a cached plan — count distributions,
+/// marginals, top-k and value marginals — straight from the prepared
+/// plan.
+fn evaluate_uncached(
+    prepared: Prepared,
+    stat: Statistic,
+    config: &QueryEngineConfig,
+) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
+    let Prepared {
+        resolved,
+        compiled,
+        path,
+        plan,
+        decomposition,
+        ..
+    } = prepared;
+    let samples = config.mc_samples;
+    if path == EvalPath::MonteCarlo && samples == 0 {
+        return Err(ProbDbError::NoSamples);
+    }
+    let classes = resolved.classes.len();
+    let answer = match (stat, path) {
         (Statistic::CountDistribution, EvalPath::ExactColumnar) => {
             let ct = &compiled[0];
             QueryAnswer::Distribution(query::poisson_binomial(
@@ -957,7 +859,7 @@ fn evaluate_cold<'a>(
                 &ct.db.columns().block_probs(&ct.live_alts),
             ))
         }
-        (Statistic::CountDistribution, EvalPath::MonteCarlo) => {
+        (Statistic::CountDistribution, _) => {
             let dist = if classes == 0 && compiled.len() == 1 {
                 let ct = &compiled[0];
                 mc_count_distribution_compiled(
@@ -976,9 +878,11 @@ fn evaluate_cold<'a>(
             let ct = &compiled[0];
             QueryAnswer::Marginals(ct.db.columns().block_probs(&ct.live_alts))
         }
-        (Statistic::Marginals, EvalPath::MonteCarlo) => QueryAnswer::Marginals(
-            mc::mc_selection_marginals(&compiled[0], samples, config.mc_seed),
-        ),
+        (Statistic::Marginals, _) => QueryAnswer::Marginals(mc::mc_selection_marginals(
+            &compiled[0],
+            samples,
+            config.mc_seed,
+        )),
         (Statistic::TopK(k), _) => {
             let ct = &compiled[0];
             QueryAnswer::Ranked(query::top_k_from_bitmaps(
@@ -991,138 +895,40 @@ fn evaluate_cold<'a>(
         (Statistic::ValueMarginal(attr), _) => {
             QueryAnswer::Distribution(exact::value_marginal(&compiled[0], attr))
         }
-        (_, EvalPath::Hybrid) => {
-            unreachable!("the hybrid path is only assigned during bounds evaluation")
-        }
-    };
-    if let (Some((tag, hash)), Some(program)) = (slot, built) {
-        let (entry, versions) = CachedPlan::capture(
-            flat,
-            &resolved,
-            &compiled,
-            planned_path,
-            plan,
-            stored_decomposition,
-            program,
-        );
-        cache.insert(tag, hash, Arc::new(entry), versions);
-    }
-    let relations = relation_stats(&compiled);
-    let mc_samples = match path {
-        EvalPath::ExactColumnar => 0,
-        EvalPath::MonteCarlo | EvalPath::Hybrid => samples,
+        _ => unreachable!("{} has a cached plan", stat.name()),
     };
     let report = EvalReport::new(
         path,
-        route,
+        PlanRoute::Interpreted,
         plan,
-        relations,
-        mc_samples,
+        relation_stats(&compiled),
+        samples,
         decomposition,
-        dissociated,
+        Vec::new(),
     );
     Ok((answer, report))
 }
 
-/// Stores the registers a warm execution just bound into the cache
-/// entry's version-guarded memo, together with the scan statistics the
-/// next report would otherwise recompute.
-fn memoize_regs(
-    plan: &CachedPlan,
-    versions: &[u64],
-    resolved: &Resolved,
-    per_program: Vec<Vec<vm::TermRegs>>,
-    count: Option<Vec<exact::MassTable>>,
-    compiled: &[CompiledTerm],
-) {
-    *plan.regs.lock().expect("register memo lock") = Some(compile::BoundRegs {
-        versions: versions.to_vec(),
-        shard_versions: resolved
-            .terms
-            .iter()
-            .map(|t| t.db.shard_versions().to_vec())
-            .collect(),
-        per_program,
-        count,
-        stats: relation_stats(compiled),
-    });
+/// Every term's predicate compiled into live-row bitmaps.
+pub(crate) fn compile_terms<'a>(resolved: &Resolved<'a>) -> Vec<CompiledTerm<'a>> {
+    resolved
+        .terms
+        .iter()
+        .enumerate()
+        .map(|(i, t)| CompiledTerm::compile(i, t, &resolved.classes))
+        .collect()
 }
 
-/// The unchanged-data fast path of a warm hit: run the memoized registers
-/// without compiling terms or binding anything. `None` falls through to
-/// the full warm path — no memo yet, a memo bound under other versions, a
-/// program that needs compiled terms (counts, samplers), or a bracket
-/// wide enough to need a Monte-Carlo refinement.
-fn run_prebound_fast(
-    plan: &CachedPlan,
-    resolved: &Resolved,
-    versions: &[u64],
-    stat: Statistic,
-    config: &QueryEngineConfig,
-) -> Option<(QueryAnswer, EvalReport)> {
-    let memo = plan.regs.lock().expect("register memo lock");
-    let memo = memo.as_ref()?;
-    if memo.versions != versions {
-        return None;
+/// The selection of a single-relation term in the Monte-Carlo
+/// samplers' form.
+fn single_selection(ct: &CompiledTerm) -> CompiledSelection {
+    CompiledSelection {
+        certain_count: ct.live_certain.count_ones(),
+        alt_matches: ct.live_alts.clone(),
     }
-    let mut decomposition = plan.decomposition.clone();
-    let mut dissociated: Vec<String> = Vec::new();
-    let shards = config.shards;
-    let answer = match (&plan.program, stat) {
-        (CompiledProgram::Boolean(prog), Statistic::Probability) => QueryAnswer::Probability {
-            p: vm::run_prebound_sharded(prog, &memo.per_program[0], shards),
-            std_error: None,
-        },
-        (CompiledProgram::Boolean(prog), Statistic::ProbabilityBounds) => QueryAnswer::Bounds(
-            ProbabilityBounds::exact(vm::run_prebound_sharded(prog, &memo.per_program[0], shards)),
-        ),
-        (CompiledProgram::Count(prog), Statistic::ExpectedCount) => {
-            let steps = prog.steps.as_ref()?;
-            let tables = memo.count.as_ref()?;
-            QueryAnswer::Count {
-                mean: exact::run_mass_join_tables(steps, tables, prog.classes, shards),
-                std_error: None,
-            }
-        }
-        (
-            CompiledProgram::Bounds {
-                candidates,
-                programs,
-            },
-            Statistic::ProbabilityBounds,
-        ) => {
-            let eval = compile::run_bounds_prebound(
-                resolved,
-                candidates,
-                programs,
-                &memo.per_program,
-                shards,
-                Some(&plan.describe),
-            );
-            let bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
-            if bounds.width() > config.bounds_tolerance && config.mc_samples > 0 {
-                // The hybrid refinement samples worlds — full warm path.
-                return None;
-            }
-            decomposition = Some(eval.plan);
-            dissociated = eval.dissociated;
-            QueryAnswer::Bounds(bounds)
-        }
-        _ => return None,
-    };
-    let report = EvalReport::new(
-        plan.path,
-        PlanRoute::CacheHit,
-        plan.plan_class,
-        memo.stats.clone(),
-        0,
-        decomposition,
-        dissociated,
-    );
-    Some((answer, report))
 }
 
-fn relation_stats(compiled: &[CompiledTerm]) -> Vec<RelationStats> {
+pub(crate) fn relation_stats(compiled: &[CompiledTerm]) -> Vec<RelationStats> {
     compiled
         .iter()
         .map(|ct| {

@@ -21,8 +21,8 @@ pub enum EvalPath {
     Hybrid,
 }
 
-/// Which machinery produced the answer: the reference interpreter, a
-/// freshly compiled bytecode program, or a cached one.
+/// Which machinery produced the answer: an evaluator outside the plan
+/// cache, a freshly compiled plan, or a cached one.
 ///
 /// Orthogonal to [`EvalPath`]: the path says *what* ran (exact columnar
 /// arithmetic, sampling, hybrid), the route says *how it was planned and
@@ -30,11 +30,14 @@ pub enum EvalPath {
 /// because the [`crate::PlanCache`] already knew this query shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanRoute {
-    /// The recursive reference interpreter (compilation disabled, or a
-    /// statistic outside the compiler's scope).
+    /// No bytecode ran and no cache entry answered: the statistics
+    /// without a compiled plan (count distributions, marginals, top-k,
+    /// value marginals), forced Monte Carlo, and the cold run of a
+    /// sampled verdict (which is cached, so the shape's next run is a
+    /// [`PlanRoute::CacheHit`]).
     Interpreted,
     /// Cold: the shape was planned, compiled to bytecode, executed by the
-    /// VM and inserted into the plan cache.
+    /// VM and inserted into the plan cache with its registers bound.
     Compiled,
     /// Warm: a [`crate::PlanCache`] hit — resolve/classify/dissociate
     /// were skipped and the cached program ran against current data.
@@ -251,8 +254,8 @@ pub struct RelationStats {
 pub struct EvalReport {
     /// Physical path taken.
     pub path: EvalPath,
-    /// How the answer was planned and driven: interpreter, fresh
-    /// compile, or plan-cache hit.
+    /// How the answer was planned and driven: outside the plan cache,
+    /// fresh compile, or plan-cache hit.
     pub route: PlanRoute,
     /// Planner classification behind the choice.
     pub plan: PlanClass,
@@ -282,15 +285,21 @@ pub struct EvalReport {
 }
 
 impl EvalReport {
+    /// `samples` is the configured Monte-Carlo budget, recorded as
+    /// [`EvalReport::mc_samples`] unless the path is exact.
     pub(crate) fn new(
         path: EvalPath,
         route: PlanRoute,
         plan: PlanClass,
         relations: Vec<RelationStats>,
-        mc_samples: usize,
+        samples: usize,
         decomposition: Option<SafePlan>,
         dissociated: Vec<String>,
     ) -> Self {
+        let mc_samples = match path {
+            EvalPath::ExactColumnar => 0,
+            EvalPath::MonteCarlo | EvalPath::Hybrid => samples,
+        };
         let sum = |f: fn(&RelationStats) -> usize| relations.iter().map(f).sum();
         Self {
             path,

@@ -12,6 +12,11 @@
 //!
 //! Exponential in the total number of blocks — strictly a test utility.
 //!
+//! The second oracle here, [`interpreted`], is the recursive reference
+//! interpreter the compiled plans must match bit for bit. It is
+//! polynomial, so the bit-identity suites and benches run it on
+//! realistic fixtures.
+//!
 //! ```
 //! use mrsl_probdb::testutil::oracle_probability;
 //! use mrsl_probdb::{Catalog, ProbDb, Query};
@@ -27,9 +32,15 @@
 //! assert_eq!(p, 0.0); // empty relation: no world has a result
 //! ```
 
-use crate::algebra::Query;
+use crate::algebra::{Query, Statistic};
 use crate::catalog::Catalog;
 use crate::plan::classify::{resolve, Resolved};
+use crate::plan::dissociate::evaluate_bounds;
+use crate::plan::exact::{boolean_probability, expected_join_count, single_expected_count};
+use crate::plan::{
+    prepare, refine, relation_stats, sampled_answer, statistic_cache_tag, BoundsPlan, EvalPath,
+    EvalReport, PlanRoute, Prepared, ProbabilityBounds, QueryAnswer, QueryEngineConfig, SafePlan,
+};
 use crate::world::{enumerate_worlds, PossibleWorld};
 use crate::ProbDbError;
 use mrsl_relation::CompleteTuple;
@@ -180,6 +191,108 @@ pub fn oracle(
             ri += 1;
         }
     }
+}
+
+/// The reference interpreter's answer to [`Statistic::Probability`],
+/// [`Statistic::ProbabilityBounds`] or [`Statistic::ExpectedCount`].
+///
+/// Planning is the engine's own (same path, class and decomposition), but
+/// exact verdicts run the recursive safe-plan interpreter instead of a
+/// compiled program: the key-partition recursion for `P`, the candidate
+/// dissociations evaluated over row maps for brackets, the row-at-a-time
+/// mass join for `E`. Sampled verdicts and hybrid refinements use the
+/// engine's sampler. No plan cache is involved, and the report's route is
+/// [`PlanRoute::Interpreted`]. Other statistics have no compiled plan to
+/// check and return [`ProbDbError::UnsupportedStatistic`].
+///
+/// ```
+/// use mrsl_probdb::testutil::interpreted;
+/// use mrsl_probdb::{Catalog, CatalogEngine, ProbDb, Query, QueryAnswer, QueryEngineConfig};
+/// use mrsl_probdb::Statistic;
+/// use mrsl_relation::Schema;
+///
+/// let schema = Schema::builder()
+///     .attribute("k", ["a", "b"])
+///     .build()
+///     .unwrap();
+/// let mut catalog = Catalog::new();
+/// catalog.add("r", ProbDb::new(schema)).unwrap();
+/// let q = Query::scan("r");
+/// let config = QueryEngineConfig::default();
+/// let (reference, _) = interpreted(&catalog, &q, Statistic::Probability, &config).unwrap();
+/// let (p, _) = CatalogEngine::new(&catalog).probability(&q).unwrap();
+/// assert!(matches!(reference, QueryAnswer::Probability { p: r, .. } if r == p));
+/// ```
+pub fn interpreted(
+    catalog: &Catalog,
+    query: &Query,
+    stat: Statistic,
+    config: &QueryEngineConfig,
+) -> Result<(QueryAnswer, EvalReport), ProbDbError> {
+    if statistic_cache_tag(stat).is_none() {
+        return Err(ProbDbError::UnsupportedStatistic {
+            statistic: stat.name(),
+        });
+    }
+    let flat = query.flatten()?;
+    let Prepared {
+        resolved,
+        compiled,
+        mut path,
+        plan,
+        mut decomposition,
+        bounds_plan,
+    } = prepare(|name| catalog.get(name), &flat, stat, config)?;
+    let samples = config.mc_samples;
+    if path == EvalPath::MonteCarlo && samples == 0 {
+        return Err(ProbDbError::NoSamples);
+    }
+    let classes = resolved.classes.len();
+    let mut dissociated = Vec::new();
+    let answer = match (stat, path, bounds_plan) {
+        (_, EvalPath::MonteCarlo, bounds_plan) => {
+            if let Some(BoundsPlan::Sample(reason)) = bounds_plan {
+                decomposition = Some(SafePlan::Unsafe { reason });
+            }
+            sampled_answer(stat, &compiled, classes, config)
+        }
+        (_, _, Some(BoundsPlan::Dissociate(candidates))) => {
+            let eval = evaluate_bounds(&resolved, &compiled, &candidates);
+            decomposition = Some(eval.plan);
+            dissociated = eval.dissociated;
+            let mut bounds = ProbabilityBounds::bracket(eval.lower, eval.upper);
+            if bounds.width() > config.bounds_tolerance && samples > 0 {
+                refine(&mut bounds, &compiled, classes, config);
+                path = EvalPath::Hybrid;
+            }
+            QueryAnswer::Bounds(bounds)
+        }
+        (Statistic::ExpectedCount, ..) => QueryAnswer::Count {
+            mean: if classes == 0 && compiled.len() == 1 {
+                single_expected_count(&compiled[0])
+            } else {
+                expected_join_count(&resolved, &compiled)
+            },
+            std_error: None,
+        },
+        (Statistic::ProbabilityBounds, ..) => QueryAnswer::Bounds(ProbabilityBounds::exact(
+            boolean_probability(&resolved, &compiled),
+        )),
+        _ => QueryAnswer::Probability {
+            p: boolean_probability(&resolved, &compiled),
+            std_error: None,
+        },
+    };
+    let report = EvalReport::new(
+        path,
+        PlanRoute::Interpreted,
+        plan,
+        relation_stats(&compiled),
+        samples,
+        decomposition,
+        dissociated,
+    );
+    Ok((answer, report))
 }
 
 /// `1 − ∏ᵢ(1 − pᵢ)`, the probability that at least one of independent

@@ -1,16 +1,17 @@
 //! Bytecode-VM / plan-cache suite.
 //!
 //! The compiled route must be **bit-identical** to the reference
-//! interpreter — not epsilon-close — for `Probability`,
-//! `ProbabilityBounds` and `ExpectedCount`, on hierarchical shapes,
-//! dissociable chains (branch-replica `Copy` nodes, both mass
-//! transforms) and aliased self-joins. Warm cache hits must skip
-//! classification, stay bit-identical after catalog data changes, and
-//! invalidate themselves when a guarded data property flips.
+//! interpreter (`testutil::interpreted`) — not epsilon-close — for
+//! `Probability`, `ProbabilityBounds` and `ExpectedCount`, on
+//! hierarchical shapes, dissociable chains (branch-replica `Copy` nodes,
+//! both mass transforms) and aliased self-joins. Warm cache hits must
+//! skip classification, stay bit-identical after catalog data changes,
+//! and invalidate themselves when a guarded data property flips.
 
+use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
     Alternative, Block, Catalog, CatalogEngine, EvalPath, PlanClass, PlanRoute, Predicate, ProbDb,
-    ProbDbError, Query, QueryEngineConfig, Statistic,
+    ProbDbError, Query, QueryAnswer, QueryEngineConfig, Statistic,
 };
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema, ValueId};
 use proptest::prelude::*;
@@ -22,17 +23,7 @@ fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     }
 }
 
-/// Interpreter reference: compiled plans off, brackets never refined.
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
-    }
-}
-
-/// VM under test: compiled plans on (the default), brackets never
-/// refined so bounds stay deterministic.
+/// Brackets never refined, so bounds stay deterministic.
 fn vm_config() -> QueryEngineConfig {
     QueryEngineConfig {
         bounds_tolerance: 1.0,
@@ -40,16 +31,10 @@ fn vm_config() -> QueryEngineConfig {
     }
 }
 
-/// Evaluates one statistic and returns the answer's float payload as raw
-/// bits plus the report, so comparisons are exact by construction.
-fn eval_bits(
-    engine: &CatalogEngine,
-    q: &Query,
-    stat: Statistic,
-) -> (Vec<u64>, PlanRoute, EvalPath, PlanClass) {
-    use mrsl_repro::probdb::QueryAnswer;
-    let (answer, report) = engine.evaluate(q, stat).expect("evaluates");
-    let bits = match answer {
+/// The answer's float payload as raw bits, so comparisons are exact by
+/// construction.
+fn answer_bits(answer: QueryAnswer) -> Vec<u64> {
+    match answer {
         QueryAnswer::Probability { p, std_error } => {
             let mut v = vec![p.to_bits()];
             v.extend(std_error.map(f64::to_bits));
@@ -67,8 +52,27 @@ fn eval_bits(
             v
         }
         other => panic!("unexpected answer shape: {other:?}"),
-    };
-    (bits, report.route, report.path, report.plan)
+    }
+}
+
+/// Evaluates one statistic on the engine: answer bits plus the report.
+fn eval_bits(
+    engine: &CatalogEngine,
+    q: &Query,
+    stat: Statistic,
+) -> (Vec<u64>, PlanRoute, EvalPath, PlanClass) {
+    let (answer, report) = engine.evaluate(q, stat).expect("evaluates");
+    (answer_bits(answer), report.route, report.path, report.plan)
+}
+
+/// The reference interpreter's answer bits plus its report.
+fn interp_bits(
+    catalog: &Catalog,
+    q: &Query,
+    stat: Statistic,
+) -> (Vec<u64>, PlanRoute, EvalPath, PlanClass) {
+    let (answer, report) = interpreted(catalog, q, stat, &vm_config()).expect("interprets");
+    (answer_bits(answer), report.route, report.path, report.plan)
 }
 
 const STATS: [Statistic; 3] = [
@@ -80,17 +84,16 @@ const STATS: [Statistic; 3] = [
 /// Asserts interpreter/VM bit-identity for all three cacheable statistics
 /// and that re-evaluating on the VM engine is a bit-identical cache hit.
 fn assert_vm_matches_interpreter(catalog: &Catalog, q: &Query) {
-    let interp = CatalogEngine::with_config(catalog, interp_config());
     let vm = CatalogEngine::with_config(catalog, vm_config());
     for stat in STATS {
-        let (ibits, iroute, ipath, iplan) = eval_bits(&interp, q, stat);
+        let (ibits, iroute, ipath, iplan) = interp_bits(catalog, q, stat);
         assert_eq!(iroute, PlanRoute::Interpreted, "{stat:?}");
         let (vbits, vroute, vpath, vplan) = eval_bits(&vm, q, stat);
         let expected = if vpath == EvalPath::ExactColumnar || vpath == EvalPath::Hybrid {
             PlanRoute::Compiled
         } else {
-            // Monte-Carlo verdicts run the interpreter's sampler; the
-            // cache still stores the verdict.
+            // Monte-Carlo verdicts run no bytecode; the cache still
+            // stores the verdict.
             PlanRoute::Interpreted
         };
         assert_eq!(vroute, expected, "{stat:?}");
@@ -244,10 +247,9 @@ proptest! {
             Query::scan_as("r", "r2").filter(ok()),
             [(AttrId(0), AttrId(0))],
         );
-        let interp = CatalogEngine::with_config(&catalog, interp_config());
         let vm = CatalogEngine::with_config(&catalog, vm_config());
         for stat in [Statistic::Probability, Statistic::ProbabilityBounds] {
-            let (ibits, ..) = eval_bits(&interp, &q, stat);
+            let (ibits, ..) = interp_bits(&catalog, &q, stat);
             let (vbits, ..) = eval_bits(&vm, &q, stat);
             prop_assert_eq!(&ibits, &vbits, "cold {:?}", stat);
             let (wbits, wroute, ..) = eval_bits(&vm, &q, stat);
@@ -284,9 +286,8 @@ proptest! {
             ]).unwrap())
             .unwrap();
         let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(), cache.clone());
-        let interp = CatalogEngine::with_config(&catalog, interp_config());
         for stat in STATS {
-            let (ibits, ..) = eval_bits(&interp, &q, stat);
+            let (ibits, ..) = interp_bits(&catalog, &q, stat);
             let (wbits, wroute, ..) = eval_bits(&warm, &q, stat);
             prop_assert_eq!(wroute, PlanRoute::CacheHit, "{:?}", stat);
             prop_assert_eq!(ibits, wbits, "post-mutation warm hit diverges on {:?}", stat);
@@ -412,18 +413,77 @@ fn forced_monte_carlo_bypasses_the_cache() {
     assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
 }
 
+/// A cold miss leaves its registers bound in the new entry, so the first
+/// warm hit on unchanged data runs the memoized fold: no register is
+/// patched or rebuilt across the cold miss and the hit, and both answers
+/// match the interpreter bit for bit — for a liftable probability, a
+/// mass-join expected count and a dissociation bracket.
 #[test]
-fn interpreter_only_engines_never_touch_the_cache() {
-    let mut catalog = Catalog::new();
-    catalog.add("r", keyed_relation(&[(0, 0.5)], &[])).unwrap();
-    let engine = CatalogEngine::with_config(&catalog, interp_config());
-    let q = Query::scan("r").filter(ok());
-    for _ in 0..2 {
-        let (_, report) = engine.probability(&q).unwrap();
-        assert_eq!(report.route, PlanRoute::Interpreted);
+fn cold_misses_leave_registers_for_the_first_warm_hit() {
+    let mut joins = Catalog::new();
+    joins
+        .add(
+            "left",
+            keyed_relation(&[(0, 0.3), (1, 0.6), (2, 0.8)], &[1]),
+        )
+        .unwrap();
+    joins
+        .add("right", keyed_relation(&[(0, 0.5), (2, 0.7)], &[0]))
+        .unwrap();
+    let join = Query::scan("left")
+        .filter(ok())
+        .join_on(Query::scan("right").filter(ok()), [(AttrId(0), AttrId(0))]);
+    let chain = chain_catalog([0.6, 0.5], [0.7, 0.4, 0.5], [0.8, 0.3]);
+    for (catalog, q, stat) in [
+        (&joins, &join, Statistic::Probability),
+        (&joins, &join, Statistic::ExpectedCount),
+        (&chain, &chain_query(), Statistic::ProbabilityBounds),
+    ] {
+        let engine = CatalogEngine::with_config(catalog, vm_config());
+        let (reference, ..) = interp_bits(catalog, q, stat);
+        let (cold, route, path, plan) = eval_bits(&engine, q, stat);
+        assert_eq!(route, PlanRoute::Compiled, "{stat:?}");
+        assert_eq!(path, EvalPath::ExactColumnar, "{stat:?}");
+        if stat == Statistic::ProbabilityBounds {
+            assert_eq!(plan, PlanClass::Dissociable);
+        }
+        let before = engine.plan_cache().stats();
+        let (warm, route, ..) = eval_bits(&engine, q, stat);
+        assert_eq!(route, PlanRoute::CacheHit, "{stat:?}");
+        let after = engine.plan_cache().stats();
+        assert_eq!((before.reg_rebinds, before.reg_patches), (0, 0), "{stat:?}");
+        assert_eq!((after.reg_rebinds, after.reg_patches), (0, 0), "{stat:?}");
+        assert_eq!(cold, reference, "cold {stat:?}");
+        assert_eq!(warm, reference, "warm {stat:?}");
     }
-    let stats = engine.plan_cache().stats();
-    assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
+}
+
+/// Every third striped hit on a shape promotes it into the lock-free hot
+/// tier, which then answers its hits: counted in `hits` and `hot_hits`,
+/// without further promotions.
+#[test]
+fn repeated_hits_promote_a_shape_into_the_hot_tier() {
+    let mut catalog = Catalog::new();
+    catalog
+        .add("r", keyed_relation(&[(0, 0.5), (1, 0.7)], &[2]))
+        .unwrap();
+    let engine = CatalogEngine::with_config(&catalog, vm_config());
+    let q = Query::scan("r").filter(ok());
+    let (p, _) = engine.probability(&q).unwrap();
+    let counts = |engine: &CatalogEngine| {
+        let s = engine.plan_cache().stats();
+        (s.hits, s.hot_hits, s.hot_promotions)
+    };
+    for _ in 0..3 {
+        engine.probability(&q).unwrap();
+    }
+    assert_eq!(counts(&engine), (3, 0, 1));
+    for _ in 0..2 {
+        let (hot, report) = engine.probability(&q).unwrap();
+        assert_eq!(report.route, PlanRoute::CacheHit);
+        assert_eq!(hot.to_bits(), p.to_bits());
+    }
+    assert_eq!(counts(&engine), (5, 2, 1));
 }
 
 #[test]

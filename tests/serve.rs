@@ -4,13 +4,14 @@
 //! The server adds scheduling — a queue, a pool, snapshot pinning — but
 //! must add **no numerics**: an answer served through [`ProbDbServer`]
 //! has to reproduce, bit for bit, what a direct [`CatalogEngine`] over
-//! the same catalog generation produces (which the sharded-VM suite in
-//! turn pins to the reference interpreter). Publication must be atomic:
-//! readers never observe a torn catalog, warm register memos patched
+//! the same catalog generation produces, and what the reference
+//! interpreter (`testutil::interpreted`) produces. Publication must be
+//! atomic: readers never observe a torn catalog, warm register memos patched
 //! across a generation swap answer exactly like a cold bind, and a
 //! writer that dies mid-build changes nothing.
 
 use mrsl_repro::probdb::serve::{ProbDbServer, ServeConfig, ServerHandle};
+use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
     Alternative, Block, Catalog, CatalogEngine, PlanRoute, Predicate, ProbDb, ProbDbError, Query,
     QueryAnswer, QueryEngineConfig, Statistic,
@@ -24,15 +25,6 @@ fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     Alternative {
         tuple: CompleteTuple::from_values(values),
         prob,
-    }
-}
-
-/// Interpreter reference: compiled plans off, brackets never refined.
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
     }
 }
 
@@ -109,6 +101,12 @@ fn answer_bits(answer: &QueryAnswer) -> Vec<u64> {
 
 fn direct_bits(engine: &CatalogEngine, q: &Query, stat: Statistic) -> Vec<u64> {
     let (answer, _) = engine.evaluate(q, stat).expect("direct evaluation");
+    answer_bits(&answer)
+}
+
+/// The reference interpreter's answer bits (brackets never refined).
+fn interp_bits(catalog: &Catalog, q: &Query, stat: Statistic) -> Vec<u64> {
+    let (answer, _) = interpreted(catalog, q, stat, &vm_config(0)).expect("interprets");
     answer_bits(&answer)
 }
 
@@ -213,10 +211,9 @@ fn chain_query() -> Query {
 /// every statistic, cold and warm, across pool sizes and shard
 /// configurations (including auto).
 fn assert_served_matches_direct(catalog: &Catalog, q: &Query) {
-    let interp = CatalogEngine::with_config(catalog, interp_config());
     let reference: Vec<Vec<u64>> = STATS
         .iter()
-        .map(|&stat| direct_bits(&interp, q, stat))
+        .map(|&stat| interp_bits(catalog, q, stat))
         .collect();
     for workers in [1, 4] {
         for shards in [0, 1, 16] {
@@ -365,7 +362,7 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
     let q = join_query();
     let server = ProbDbServer::with_config(catalog, serve_config(2, 4));
     let handle = server.handle();
-    // Cold compile, then a warm hit so the registers are memoized.
+    // The cold compile memoizes the registers; the warm hit reuses them.
     let (_, route) = served_bits(&handle, &q, Statistic::Probability);
     assert_eq!(route, PlanRoute::Compiled);
     let (_, route) = served_bits(&handle, &q, Statistic::Probability);
@@ -415,12 +412,7 @@ fn warm_memos_patched_across_generations_match_cold_bind() {
         Statistic::Probability,
     );
     assert_eq!(warm, cold, "patched warm serve diverges from a cold bind");
-    let interp = direct_bits(
-        &CatalogEngine::with_config(generation_1, interp_config()),
-        &q,
-        Statistic::Probability,
-    );
-    assert_eq!(warm, interp);
+    assert_eq!(warm, interp_bits(generation_1, &q, Statistic::Probability));
     server.shutdown();
 }
 
@@ -484,11 +476,7 @@ fn concurrent_clients_share_the_plan_cache() {
     const ROUNDS: usize = 10;
     let catalog = chain_catalog([0.3, 0.7], [0.2, 0.5, 0.8], [0.6, 0.4]);
     let q = chain_query();
-    let reference = direct_bits(
-        &CatalogEngine::with_config(&catalog, interp_config()),
-        &q,
-        Statistic::ProbabilityBounds,
-    );
+    let reference = interp_bits(&catalog, &q, Statistic::ProbabilityBounds);
     let server = ProbDbServer::with_config(catalog, serve_config(4, 0));
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {

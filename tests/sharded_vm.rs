@@ -1,14 +1,16 @@
 //! Sharded parallel-execution suite.
 //!
 //! The sharded fold must be **bit-identical** — not epsilon-close — to
-//! the sequential VM and to the reference interpreter at every thread
-//! count and every shard count, for `Probability`, `ProbabilityBounds`
-//! and `ExpectedCount`. Incremental register maintenance must patch only
-//! the shards an upsert touched, leave the cache entry valid, and still
-//! produce the exact bits a fresh bind would.
+//! the sequential VM and to the reference interpreter
+//! (`testutil::interpreted`) at every thread count and every shard count,
+//! for `Probability`, `ProbabilityBounds` and `ExpectedCount`.
+//! Incremental register maintenance must patch only the shards an upsert
+//! touched, leave the cache entry valid, and still produce the exact bits
+//! a fresh bind would.
 
+use mrsl_repro::probdb::testutil::interpreted;
 use mrsl_repro::probdb::{
-    Alternative, Block, Catalog, CatalogEngine, PlanRoute, Predicate, ProbDb, Query,
+    Alternative, Block, Catalog, CatalogEngine, PlanRoute, Predicate, ProbDb, Query, QueryAnswer,
     QueryEngineConfig, Statistic,
 };
 use mrsl_repro::relation::{AttrId, CompleteTuple, Schema, ValueId};
@@ -18,15 +20,6 @@ fn alt(values: Vec<u16>, prob: f64) -> Alternative {
     Alternative {
         tuple: CompleteTuple::from_values(values),
         prob,
-    }
-}
-
-/// Interpreter reference: compiled plans off, brackets never refined.
-fn interp_config() -> QueryEngineConfig {
-    QueryEngineConfig {
-        compile_plans: false,
-        bounds_tolerance: 1.0,
-        ..QueryEngineConfig::default()
     }
 }
 
@@ -40,12 +33,10 @@ fn vm_config(shards: usize) -> QueryEngineConfig {
     }
 }
 
-/// Evaluates one statistic and returns the answer's float payload as raw
-/// bits, so comparisons are exact by construction.
-fn eval_bits(engine: &CatalogEngine, q: &Query, stat: Statistic) -> (Vec<u64>, PlanRoute) {
-    use mrsl_repro::probdb::QueryAnswer;
-    let (answer, report) = engine.evaluate(q, stat).expect("evaluates");
-    let bits = match answer {
+/// The answer's float payload as raw bits, so comparisons are exact by
+/// construction.
+fn answer_bits(answer: QueryAnswer) -> Vec<u64> {
+    match answer {
         QueryAnswer::Probability { p, std_error } => {
             let mut v = vec![p.to_bits()];
             v.extend(std_error.map(f64::to_bits));
@@ -63,8 +54,19 @@ fn eval_bits(engine: &CatalogEngine, q: &Query, stat: Statistic) -> (Vec<u64>, P
             v
         }
         other => panic!("unexpected answer shape: {other:?}"),
-    };
-    (bits, report.route)
+    }
+}
+
+/// Evaluates one statistic on the engine: answer bits plus the route.
+fn eval_bits(engine: &CatalogEngine, q: &Query, stat: Statistic) -> (Vec<u64>, PlanRoute) {
+    let (answer, report) = engine.evaluate(q, stat).expect("evaluates");
+    (answer_bits(answer), report.route)
+}
+
+/// The reference interpreter's answer bits (brackets never refined).
+fn interp_bits(catalog: &Catalog, q: &Query, stat: Statistic) -> Vec<u64> {
+    let (answer, _) = interpreted(catalog, q, stat, &vm_config(0)).expect("interprets");
+    answer_bits(answer)
 }
 
 const STATS: [Statistic; 3] = [
@@ -87,10 +89,9 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// Asserts that every (threads × shards) combination reproduces the
 /// interpreter's bits exactly, cold and warm.
 fn assert_sharded_matches_interpreter(catalog: &Catalog, q: &Query) {
-    let interp = CatalogEngine::with_config(catalog, interp_config());
     let reference: Vec<Vec<u64>> = STATS
         .iter()
-        .map(|&stat| eval_bits(&interp, q, stat).0)
+        .map(|&stat| interp_bits(catalog, q, stat))
         .collect();
     for threads in THREADS {
         for shards in SHARDS {
@@ -265,10 +266,8 @@ fn upserts_patch_only_the_touched_shard() {
         let engine = CatalogEngine::with_config(&catalog, vm_config(4));
         let (_, route) = eval_bits(&engine, &q, Statistic::Probability);
         assert_eq!(route, PlanRoute::Compiled);
-        // Registers are memoized by warm executions: hit once so the
-        // upsert below has a memo to patch.
-        let (_, route) = eval_bits(&engine, &q, Statistic::Probability);
-        assert_eq!(route, PlanRoute::CacheHit);
+        // The cold miss memoizes its registers, so the upsert below has
+        // a memo to patch.
         engine.plan_cache().clone()
     };
     let base = cache.stats();
@@ -287,11 +286,7 @@ fn upserts_patch_only_the_touched_shard() {
     let fresh = CatalogEngine::with_config(&catalog, vm_config(4));
     let (fbits, _) = eval_bits(&fresh, &q, Statistic::Probability);
     assert_eq!(wbits, fbits, "patched registers diverge from a fresh bind");
-    let (ibits, _) = eval_bits(
-        &CatalogEngine::with_config(&catalog, interp_config()),
-        &q,
-        Statistic::Probability,
-    );
+    let ibits = interp_bits(&catalog, &q, Statistic::Probability);
     assert_eq!(
         wbits, ibits,
         "patched registers diverge from the interpreter"
@@ -330,7 +325,6 @@ fn whole_domain_mutations_fall_back_to_rebind() {
     let cache = {
         let engine = CatalogEngine::with_config(&catalog, vm_config(4));
         eval_bits(&engine, &q, Statistic::Probability);
-        eval_bits(&engine, &q, Statistic::Probability);
         engine.plan_cache().clone()
     };
     let base = cache.stats();
@@ -343,12 +337,7 @@ fn whole_domain_mutations_fall_back_to_rebind() {
     let warm = CatalogEngine::with_plan_cache(&catalog, vm_config(4), cache.clone());
     let (wbits, wroute) = eval_bits(&warm, &q, Statistic::Probability);
     assert_eq!(wroute, PlanRoute::CacheHit);
-    let (ibits, _) = eval_bits(
-        &CatalogEngine::with_config(&catalog, interp_config()),
-        &q,
-        Statistic::Probability,
-    );
-    assert_eq!(wbits, ibits);
+    assert_eq!(wbits, interp_bits(&catalog, &q, Statistic::Probability));
     let stats = cache.stats();
     assert_eq!(stats.invalidations, 0, "{stats:?}");
     assert!(stats.reg_rebinds > base.reg_rebinds, "{stats:?}");
